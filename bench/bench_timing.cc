@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/parallel.h"
 #include "core/baseline.h"
 #include "core/dataset_builder.h"
 #include "core/series.h"
@@ -67,12 +68,20 @@ void TrainOnce(const std::string& algorithm,
   benchmark::DoNotOptimize(status);
 }
 
+// The per-algorithm rows are serial fits, like the paper's timings: the
+// default pool is pinned to one thread for the row and restored after it,
+// so the train_threads rows below keep their own pool.
 void BM_Train(benchmark::State& state, const std::string& algorithm) {
   const int window = static_cast<int>(state.range(0));
   const nextmaint::ml::Dataset data = MakeTrainingData(window);
+  const int pool_threads = nextmaint::ThreadPool::DefaultThreadCount();
+  nextmaint::ThreadPool::SetDefaultThreadCount(1);
   for (auto _ : state) {
     TrainOnce(algorithm, data);
   }
+  state.counters["threads"] =
+      static_cast<double>(nextmaint::ThreadPool::DefaultThreadCount());
+  nextmaint::ThreadPool::SetDefaultThreadCount(pool_threads);
   state.counters["rows"] = static_cast<double>(data.num_rows());
   state.counters["features"] = static_cast<double>(data.num_features());
 }

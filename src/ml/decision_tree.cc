@@ -85,8 +85,6 @@ Status DecisionTreeRegressor::FitBinned(const Dataset& train,
     spec.max_features = static_cast<size_t>(options_.max_features);
   }
   spec.seed = options_.seed;
-  // A single tree stays serial: the forest already runs one tree per lane.
-  spec.num_threads = 1;
 
   DataPartition partition;
   partition.Reset(indices);

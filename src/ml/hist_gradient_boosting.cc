@@ -96,7 +96,6 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
   spec.learning_rate = options_.learning_rate;
   spec.l2 = options_.l2;
   spec.min_gain = options_.min_gain;
-  spec.num_threads = options_.num_threads;
 
   // Seed the working predictions from the current ensemble: base score
   // plus existing trees in boosting order, the exact accumulation order

@@ -54,8 +54,8 @@ class HistGradientBoostingRegressor final : public Regressor {
     double validation_fraction = 0.0;
     /// Patience for early stopping (only with validation_fraction > 0).
     int early_stopping_rounds = 10;
-    /// Concurrency for binning, per-feature split search and the per-row
-    /// prediction update. <= 0 follows the process-wide default
+    /// Concurrency for binning and the per-row prediction update (tree
+    /// growth is serial). <= 0 follows the process-wide default
     /// (ThreadPool::DefaultThreadCount()). Any value yields bit-identical
     /// models; see docs/parallelism.md.
     int num_threads = 0;

@@ -6,13 +6,13 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <ranges>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/parallel.h"
 #include "ml/binned_dataset.h"
 
 /// \file histogram.h
@@ -54,10 +54,28 @@ class HistogramLayout {
 };
 
 /// Per-node histogram: gradient sum and sample count per bin, all features
-/// in one flat buffer so a whole node resets and subtracts contiguously.
+/// in one flat buffer so a dense node resets and subtracts contiguously.
+///
+/// A histogram is dense or sparse. A sparse one also keeps, per feature, an
+/// ascending list of its *live* bins, and every bin outside the list is
+/// exactly (+0.0, 0); resets, subtractions and split scans then touch only
+/// the listed bins, so a small node costs O(its rows), not O(all bins).
+/// The lists are exact, not approximate (docs/binned-training.md):
+///  - a filled child lists the parent's live bins its rows land in;
+///  - a parent buffer that becomes the larger child subtracts over its list
+///    and keeps every bin with `count != 0 || grad != 0.0`, so a
+///    subtraction residual on an emptied bin stays live;
+///  - a bin that leaves a list already holds exactly +0.0: every bin
+///    starts at +0.0, and a round-to-nearest sum or difference is -0.0 only
+///    when an operand already is, so no bin ever holds -0.0.
 class NodeHistogram {
  public:
-  void Reset(const HistogramLayout& layout);
+  /// Zeroes every bin (only the listed ones when sparse: the rest already
+  /// are) and starts the histogram over as dense, or as sparse with empty
+  /// lists.
+  void Reset(const HistogramLayout& layout, bool sparse);
+
+  bool sparse() const { return sparse_; }
 
   double* grad(const HistogramLayout& layout, size_t f) {
     return grad_.data() + layout.feature_offset(f);
@@ -71,15 +89,78 @@ class NodeHistogram {
   const uint32_t* count(const HistogramLayout& layout, size_t f) const {
     return count_.data() + layout.feature_offset(f);
   }
+  /// Feature f's live bins, ascending; meaningful only when sparse().
+  std::span<const uint16_t> live(const HistogramLayout& layout,
+                                 size_t f) const {
+    return {live_.data() + layout.feature_offset(f), live_size_[f]};
+  }
 
-  /// Parent-minus-sibling subtraction for one feature slice, in place:
-  /// this (the parent's buffer) becomes the larger child's histogram.
+  /// Dense to sparse: lists every bin with `count != 0 || grad != 0.0`.
+  /// O(all bins), once per subtree that goes sparse; no-op when sparse.
+  void MakeSparse(const HistogramLayout& layout);
+
+  /// Resets this histogram and accumulates `rows` into it, one feature at a
+  /// time. With a `parent`, a sparse parent makes this child sparse (its
+  /// lists are the parent's, filtered to the bins its rows occupy), and
+  /// `subtract` fuses in the parent-minus-sibling step: each finished
+  /// feature slice is subtracted from the parent in place, turning the
+  /// parent's buffer into the larger child's histogram. BinSource provides
+  /// `uint32_t Bin(feature, row)`.
+  template <class BinSource>
+  void Fill(const BinSource& bins, const HistogramLayout& layout,
+            std::span<const uint32_t> rows, std::span<const double> values,
+            NodeHistogram* parent, bool subtract) {
+    Reset(layout, parent != nullptr && parent->sparse());
+    for (size_t f = 0; f < layout.num_features(); ++f) {
+      double* grad_f = grad(layout, f);
+      uint32_t* count_f = count(layout, f);
+      const auto accumulate = [&](auto&& bin_of) {
+        for (const uint32_t row : rows) {
+          const uint32_t bin = bin_of(row);
+          grad_f[bin] += values[row];
+          ++count_f[bin];
+        }
+      };
+      if constexpr (std::is_same_v<BinSource, BinnedDataset>) {
+        // The binned fast path: hoist the column's storage pointer and the
+        // narrow/wide dispatch out of the row loop. Same rows, same order,
+        // same additions as the generic loop below.
+        if (bins.IsNarrow(f)) {
+          const uint8_t* column = bins.NarrowColumn(f);
+          accumulate([column](uint32_t row) -> uint32_t {
+            return column[row];
+          });
+        } else {
+          const uint16_t* column = bins.WideColumn(f);
+          accumulate([column](uint32_t row) -> uint32_t {
+            return column[row];
+          });
+        }
+      } else {
+        accumulate([&bins, f](uint32_t row) { return bins.Bin(f, row); });
+      }
+      if (sparse_) ListFilledBins(layout, f, *parent);
+      if (subtract) parent->SubtractFeature(layout, f, *this);
+    }
+  }
+
+ private:
+  /// This child's list for feature f: the parent's live bins its rows
+  /// occupy. The rest of the parent's list is still +0.0 from the reset.
+  void ListFilledBins(const HistogramLayout& layout, size_t f,
+                      const NodeHistogram& parent);
+  /// Parent-minus-sibling for one feature slice, in place: over every bin
+  /// when dense, over the live list (dropping emptied bins) when sparse.
   void SubtractFeature(const HistogramLayout& layout, size_t f,
                        const NodeHistogram& sibling);
 
- private:
   std::vector<double> grad_;
   std::vector<uint32_t> count_;
+  /// Per-feature live lists in the flat layout: feature f's list starts at
+  /// feature_offset(f) and holds live_size_[f] bin ids (max_bins <= 65535).
+  std::vector<uint16_t> live_;
+  std::vector<size_t> live_size_;
+  bool sparse_ = false;
 };
 
 /// The index permutation a growing tree partitions, plus the leaf ranges it
@@ -154,11 +235,6 @@ struct GrowSpec {
   double learning_rate = 1.0;
   double l2 = 0.0;
   double min_gain = 1e-12;
-  /// Per-feature fill/scan concurrency; candidates are reduced serially in
-  /// candidate order, so any value is bit-identical.
-  int num_threads = 1;
-  /// Nodes below this many rows stay serial (pool hand-off not amortized).
-  size_t min_rows_for_parallel = 512;
 };
 
 namespace internal {
@@ -175,6 +251,7 @@ inline uint64_t NextRandom(uint64_t* state) {
 /// The shared grower. BinSource provides `uint32_t Bin(feature, row)`:
 /// BinnedDataset streams materialized columns, OnTheFlyBins re-derives each
 /// bin from the raw value — everything else is identical between the cores.
+/// Growth is serial; callers parallelize across trees, vehicles and folds.
 template <class BinSource>
 class HistTreeGrower {
  public:
@@ -188,12 +265,17 @@ class HistTreeGrower {
         partition_(partition),
         spec_(spec) {}
 
-  std::vector<GrowNode> Grow() {
+  /// `allow_sparse == false` keeps every node on the dense loops: the
+  /// reference the sparse path is checked against, byte for byte, in
+  /// tests/ml/binned_property_test.cc.
+  std::vector<GrowNode> Grow(bool allow_sparse = true) {
     NM_CHECK(partition_->size() > 0);
+    allow_sparse_ = allow_sparse;
     nodes_.reserve(64);
     uint64_t rng_state = spec_.seed;
     NodeHistogram* root = AcquireHistogram(0);
-    FillHistogram(0, partition_->size(), /*parent=*/nullptr, root);
+    root->Fill(bins_, layout_, partition_->indices(), values_,
+               /*parent=*/nullptr, /*subtract=*/false);
     BuildNode(0, partition_->size(), 0, root, &rng_state);
     NM_CHECK(partition_->LeavesCoverAll());
     return std::move(nodes_);
@@ -213,68 +295,61 @@ class HistTreeGrower {
     return pool_[level].get();
   }
 
-  int SplitThreads(size_t count) const {
-    return count >= spec_.min_rows_for_parallel
-               ? ResolveThreadCount(spec_.num_threads)
-               : 1;
+  bool IsLeaf(size_t count, int depth) const {
+    return (spec_.depth_limited && depth >= spec_.max_depth) ||
+           count < spec_.min_samples_split ||
+           count < 2 * spec_.min_samples_leaf;
   }
 
-  /// Accumulates [begin, end) into `hist` (per-feature tasks, one chunk per
-  /// lane). When `parent` is given, each finished feature slice is
-  /// immediately subtracted from the parent in place — the fused
-  /// fill-smaller-child / derive-larger-child step.
-  void FillHistogram(size_t begin, size_t end, NodeHistogram* parent,
-                     NodeHistogram* hist) {
-    hist->Reset(layout_);
-    const int threads = SplitThreads(end - begin);
-    const size_t num_features = layout_.num_features();
-    const size_t grain =
-        (num_features - 1) / static_cast<size_t>(threads) + 1;
-    const Status status = ParallelFor(
-        0, num_features, grain,
-        [&](size_t chunk_begin, size_t chunk_end) -> Status {
-          const uint32_t* rows = partition_->indices().data();
-          for (size_t f = chunk_begin; f < chunk_end; ++f) {
-            double* grad = hist->grad(layout_, f);
-            uint32_t* bin_count = hist->count(layout_, f);
-            if constexpr (std::is_same_v<BinSource, BinnedDataset>) {
-              // The binned fast path: hoist the column's storage pointer
-              // and the narrow/wide dispatch out of the row loop. Same
-              // rows, same order, same additions — bit-identical to the
-              // generic loop below, just without the per-access dispatch.
-              if (bins_.IsNarrow(f)) {
-                const uint8_t* column = bins_.NarrowColumn(f);
-                for (size_t i = begin; i < end; ++i) {
-                  const uint32_t row = rows[i];
-                  const uint32_t bin = column[row];
-                  grad[bin] += values_[row];
-                  ++bin_count[bin];
-                }
-              } else {
-                const uint16_t* column = bins_.WideColumn(f);
-                for (size_t i = begin; i < end; ++i) {
-                  const uint32_t row = rows[i];
-                  const uint32_t bin = column[row];
-                  grad[bin] += values_[row];
-                  ++bin_count[bin];
-                }
-              }
-            } else {
-              for (size_t i = begin; i < end; ++i) {
-                const uint32_t row = rows[i];
-                const uint32_t bin = bins_.Bin(f, row);
-                grad[bin] += values_[row];
-                ++bin_count[bin];
-              }
-            }
-            if (parent != nullptr) {
-              parent->SubtractFeature(layout_, f, *hist);
-            }
-          }
-          return Status::OK();
-        },
-        threads);
-    NM_CHECK(status.ok());  // the fill body has no failure path
+  /// Whether a dense node's histogram should go sparse, from what the node
+  /// shows. Its rows occupy at most `count` bins of each feature, so once
+  /// it has no more rows than a feature has bins on average, the lists are
+  /// shorter than the dense loops; a bigger node keeps the dense loops,
+  /// whose contiguous resets and subtractions beat near-full lists. A
+  /// depth-limited subtree with fewer than kMinSparseLevels levels left has
+  /// at most 2^(levels) - 1 split nodes, too few to amortize the O(all
+  /// bins) conversion, so it stays dense too.
+  bool SparsePays(size_t count, int depth) const {
+    if (spec_.depth_limited && spec_.max_depth - depth < kMinSparseLevels) {
+      return false;
+    }
+    return count * layout_.num_features() <= layout_.total_bins();
+  }
+
+  /// Walks one feature's bins left to right (`bin_ids` ascending: every bin,
+  /// or the live list) and records the best boundary into `best`. Strict '>'
+  /// keeps the earliest candidate and bin on ties. A bin missing from a live
+  /// list is (+0.0, 0): it would leave the running sums unchanged, so its
+  /// gain would equal the previous bin's and could not win.
+  template <class BinIds>
+  void ScanFeature(const BinIds& bin_ids, size_t f, const NodeHistogram& hist,
+                   size_t count, double grad_sum, double parent_score,
+                   Best* best) const {
+    const size_t num_bins = layout_.feature_bins(f);
+    const double* grad = hist.grad(layout_, f);
+    const uint32_t* bin_count = hist.count(layout_, f);
+    double left_grad = 0.0;
+    size_t left_count = 0;
+    for (const size_t b : bin_ids) {
+      if (b + 1 >= num_bins) break;  // the last bin admits no boundary
+      left_grad += grad[b];
+      left_count += bin_count[b];
+      if (left_count < spec_.min_samples_leaf) continue;
+      const size_t right_count = count - left_count;
+      if (right_count < spec_.min_samples_leaf) break;
+      const double right_grad = grad_sum - left_grad;
+      const double gain =
+          left_grad * left_grad /
+              (static_cast<double>(left_count) + spec_.l2) +
+          right_grad * right_grad /
+              (static_cast<double>(right_count) + spec_.l2) -
+          parent_score;
+      if (gain > best->gain) {
+        best->gain = gain;
+        best->feature = f;
+        best->bin = static_cast<uint32_t>(b);
+      }
+    }
   }
 
   int32_t BuildNode(size_t begin, size_t end, int depth, NodeHistogram* hist,
@@ -297,10 +372,7 @@ class HistTreeGrower {
                            (static_cast<double>(count) + spec_.l2)
                      : grad_sum / static_cast<double>(count);
 
-    const bool depth_exhausted =
-        spec_.depth_limited && depth >= spec_.max_depth;
-    if (depth_exhausted || count < spec_.min_samples_split ||
-        count < 2 * spec_.min_samples_leaf) {
+    if (IsLeaf(count, depth)) {
       partition_->AddLeaf(begin, end);
       return node_index;
     }
@@ -325,58 +397,23 @@ class HistTreeGrower {
       }
     }
 
-    // Per-candidate histogram scan: each candidate lands its best split in
-    // candidate_best_[ci] and the winner is reduced serially in candidate
-    // order below, so the chosen split is the one the serial left-to-right
-    // scan would pick (strict '>' keeps the earliest candidate/bin on
-    // ties) at any thread count.
-    candidate_best_.assign(num_candidates, Best{});
-    const int threads = SplitThreads(count);
-    const size_t grain =
-        (num_candidates - 1) / static_cast<size_t>(threads) + 1;
-    const Status scan_status = ParallelFor(
-        0, num_candidates, grain,
-        [&](size_t chunk_begin, size_t chunk_end) -> Status {
-          for (size_t ci = chunk_begin; ci < chunk_end; ++ci) {
-            const size_t f = features_[ci];
-            Best local;
-            local.feature = f;
-            const size_t num_bins = layout_.feature_bins(f);
-            if (num_bins < 2) {
-              candidate_best_[ci] = local;
-              continue;
-            }
-            const double* grad = hist->grad(layout_, f);
-            const uint32_t* bin_count = hist->count(layout_, f);
-            double left_grad = 0.0;
-            size_t left_count = 0;
-            for (size_t b = 0; b + 1 < num_bins; ++b) {
-              left_grad += grad[b];
-              left_count += bin_count[b];
-              if (left_count < spec_.min_samples_leaf) continue;
-              const size_t right_count = count - left_count;
-              if (right_count < spec_.min_samples_leaf) break;
-              const double right_grad = grad_sum - left_grad;
-              const double gain =
-                  left_grad * left_grad /
-                      (static_cast<double>(left_count) + spec_.l2) +
-                  right_grad * right_grad /
-                      (static_cast<double>(right_count) + spec_.l2) -
-                  parent_score;
-              if (gain > local.gain) {
-                local.gain = gain;
-                local.bin = static_cast<uint32_t>(b);
-              }
-            }
-            candidate_best_[ci] = local;
-          }
-          return Status::OK();
-        },
-        threads);
-    NM_CHECK(scan_status.ok());  // the scan body has no failure path
+    // Once sparse, a histogram's descendants stay sparse: their lists are
+    // subsets of its own.
+    if (allow_sparse_ && !hist->sparse() && SparsePays(count, depth)) {
+      hist->MakeSparse(layout_);
+    }
     Best best;
-    for (const Best& candidate : candidate_best_) {
-      if (candidate.gain > best.gain) best = candidate;
+    for (size_t ci = 0; ci < num_candidates; ++ci) {
+      const size_t f = features_[ci];
+      const size_t num_bins = layout_.feature_bins(f);
+      if (num_bins < 2) continue;
+      if (hist->sparse()) {
+        ScanFeature(hist->live(layout_, f), f, *hist, count, grad_sum,
+                    parent_score, &best);
+      } else {
+        ScanFeature(std::views::iota(size_t{0}, num_bins), f, *hist, count,
+                    grad_sum, parent_score, &best);
+      }
     }
 
     // Mean mode measures the SSE-reduction floor relative to the parent
@@ -405,17 +442,23 @@ class HistTreeGrower {
 
     // Children via the parent-minus-sibling trick: the smaller child is
     // accumulated directly into a fresh buffer; the fused fill turns the
-    // parent's buffer into the larger child's histogram in place. Buffer
+    // parent's buffer into the larger child's histogram in place. A child
+    // that will be a leaf never reads its histogram, so the fill (both
+    // leaves) or the subtraction (larger one a leaf) is skipped. Buffer
     // reuse by recursion level is safe: a node at depth d only ever holds a
     // buffer acquired at level <= d, so level d+1 is free for its smaller
     // child, and the first-child subtree only acquires levels >= d+2.
     NodeHistogram* child =
         AcquireHistogram(static_cast<size_t>(depth) + 1);
     const bool left_smaller = mid - begin <= end - mid;
-    if (left_smaller) {
-      FillHistogram(begin, mid, hist, child);
-    } else {
-      FillHistogram(mid, end, hist, child);
+    const size_t small_begin = left_smaller ? begin : mid;
+    const size_t small_count = left_smaller ? mid - begin : end - mid;
+    const bool small_leaf = IsLeaf(small_count, depth + 1);
+    const bool large_leaf = IsLeaf(count - small_count, depth + 1);
+    if (!small_leaf || !large_leaf) {
+      child->Fill(bins_, layout_,
+                  partition_->indices().subspan(small_begin, small_count),
+                  values_, hist, /*subtract=*/!large_leaf);
     }
     NodeHistogram* left_hist = left_smaller ? child : hist;
     NodeHistogram* right_hist = left_smaller ? hist : child;
@@ -428,16 +471,18 @@ class HistTreeGrower {
     return node_index;
   }
 
+  static constexpr int kMinSparseLevels = 3;
+
   const BinSource& bins_;
   const BinMapper& mapper_;
   const HistogramLayout& layout_;
   std::span<const double> values_;
   DataPartition* partition_;
   const GrowSpec& spec_;
+  bool allow_sparse_ = true;
   std::vector<GrowNode> nodes_;
   std::vector<std::unique_ptr<NodeHistogram>> pool_;
   std::vector<size_t> features_;
-  std::vector<Best> candidate_best_;
 };
 
 }  // namespace internal

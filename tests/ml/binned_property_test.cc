@@ -3,12 +3,20 @@
 // feature cardinalities on both sides of the 256-distinct-value bin-width
 // boundary — must train to byte-identical models on both cores, and the
 // DataPartition leaf ranges of a completed grow must never lose a sample.
+// The sparse node histograms must keep every bin off their live lists at
+// exactly (+0.0, 0), and sparse growth must equal dense growth byte for
+// byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -264,6 +272,262 @@ TEST(BinnedPropertyTest, CompletedGrowTilesEverySample) {
     covered += end - begin;
   }
   EXPECT_EQ(covered, train.num_rows());
+}
+
+// ---------------------------------------------------------------------------
+// Sparse node histograms (ml/histogram.h). Integer day targets never leave a
+// subtraction residual, so these fixtures use non-integer values, XGB-style
+// gradients, -0.0 values and bootstrap duplicates.
+
+/// Per-row values that exercise every list rule: non-integer sums that
+/// leave residuals on emptied bins after a subtraction, and signed zeros.
+std::vector<double> AdversarialValues(Rng* rng, size_t n) {
+  std::vector<double> values(n);
+  for (double& value : values) {
+    const uint64_t kind = rng->UniformInt(uint64_t{10});
+    if (kind < 2) {
+      value = -0.0;
+    } else if (kind < 3) {
+      value = 0.0;
+    } else {
+      value = 0.1 * static_cast<double>(rng->UniformInt(uint64_t{50})) - 2.3;
+    }
+  }
+  return values;
+}
+
+/// Bootstrap multiset over [0, n): duplicates included.
+std::vector<uint32_t> BootstrapRows(Rng* rng, size_t n) {
+  std::vector<uint32_t> rows(n);
+  for (uint32_t& row : rows) row = static_cast<uint32_t>(rng->UniformInt(n));
+  return rows;
+}
+
+/// The live-list invariant: every listed bin is in range and ascending, and
+/// every bin off the list is exactly (+0.0, 0).
+void ExpectListsExact(const NodeHistogram& hist, const HistogramLayout& layout,
+                      const std::string& where) {
+  ASSERT_TRUE(hist.sparse()) << where;
+  for (size_t f = 0; f < layout.num_features(); ++f) {
+    std::vector<char> listed(layout.feature_bins(f), 0);
+    int previous = -1;
+    for (const uint16_t b : hist.live(layout, f)) {
+      ASSERT_LT(b, layout.feature_bins(f)) << where;
+      ASSERT_GT(static_cast<int>(b), previous) << where << " (unsorted)";
+      previous = b;
+      listed[b] = 1;
+    }
+    for (size_t b = 0; b < listed.size(); ++b) {
+      if (listed[b]) continue;
+      EXPECT_EQ(hist.count(layout, f)[b], 0u)
+          << where << " feature " << f << " bin " << b;
+      EXPECT_EQ(std::bit_cast<uint64_t>(hist.grad(layout, f)[b]), 0u)
+          << where << " feature " << f << " bin " << b << " holds "
+          << hist.grad(layout, f)[b] << " off the list";
+    }
+  }
+}
+
+/// A sparse histogram equals its dense twin bit for bit, on and off its
+/// lists (no bin of either ever holds -0.0).
+void ExpectMatchesDense(const NodeHistogram& sparse, const NodeHistogram& dense,
+                        const HistogramLayout& layout,
+                        const std::string& where) {
+  for (size_t f = 0; f < layout.num_features(); ++f) {
+    for (size_t b = 0; b < layout.feature_bins(f); ++b) {
+      EXPECT_EQ(sparse.count(layout, f)[b], dense.count(layout, f)[b])
+          << where << " feature " << f << " bin " << b;
+      EXPECT_EQ(std::bit_cast<uint64_t>(sparse.grad(layout, f)[b]),
+                std::bit_cast<uint64_t>(dense.grad(layout, f)[b]))
+          << where << " feature " << f << " bin " << b;
+    }
+  }
+}
+
+// Drives NodeHistogram the way the grower does — per-level buffer reuse,
+// smaller child filled, parent buffer turned into the larger child — on
+// random splits, with a dense twin alongside, and checks the invariant after
+// every fill and every subtraction.
+TEST(BinnedPropertyTest, SparseListsStayExactAfterEveryFillAndSubtract) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Dataset train =
+        MakeCorpus(&rng, 240,
+                   {ColumnKind::kContinuous, ColumnKind::kFewDistinct,
+                    ColumnKind::kConstant, ColumnKind::kContinuous});
+    BinMapper mapper;
+    mapper.Compute(train.x(), /*max_bins=*/32);
+    const HistogramLayout layout(mapper);
+    BinnedDataset binned;
+    binned.Build(train.x(), mapper);
+    const std::vector<double> values =
+        AdversarialValues(&rng, train.num_rows());
+    std::vector<uint32_t> rows = BootstrapRows(&rng, train.num_rows());
+
+    std::vector<std::unique_ptr<NodeHistogram>> sparse_pool;
+    std::vector<std::unique_ptr<NodeHistogram>> dense_pool;
+    const auto acquire = [](std::vector<std::unique_ptr<NodeHistogram>>* pool,
+                            size_t level) {
+      while (pool->size() <= level) {
+        pool->push_back(std::make_unique<NodeHistogram>());
+      }
+      return (*pool)[level].get();
+    };
+    NodeHistogram* sparse_root = acquire(&sparse_pool, 0);
+    NodeHistogram* dense_root = acquire(&dense_pool, 0);
+    const std::span<const uint32_t> all(rows);
+    sparse_root->Fill(binned, layout, all, values, nullptr, false);
+    dense_root->Fill(binned, layout, all, values, nullptr, false);
+    ASSERT_FALSE(sparse_root->sparse());
+    ASSERT_FALSE(dense_root->sparse());
+
+    size_t checks = 0;
+    std::function<void(size_t, size_t, size_t, NodeHistogram*,
+                       NodeHistogram*)>
+        grow = [&](size_t begin, size_t end, size_t depth,
+                   NodeHistogram* sparse, NodeHistogram* dense) {
+          const std::string where = "trial " + std::to_string(trial) +
+                                    " depth " + std::to_string(depth);
+          if (!sparse->sparse() && rng.UniformInt(uint64_t{2}) == 0) {
+            sparse->MakeSparse(layout);
+            ExpectListsExact(*sparse, layout, where + " after MakeSparse");
+          }
+          ExpectMatchesDense(*sparse, *dense, layout, where);
+          if (end - begin < 2 || depth > 12) return;
+          // Cut at the bin of a random row of the node, retrying until
+          // both sides are non-empty.
+          size_t f = 0;
+          uint32_t cut = 0;
+          size_t left_count = 0;
+          for (int attempt = 0; attempt < 16; ++attempt) {
+            f = rng.UniformInt(layout.num_features());
+            cut = binned.Bin(f, rows[begin + rng.UniformInt(end - begin)]);
+            left_count = static_cast<size_t>(std::count_if(
+                rows.begin() + static_cast<ptrdiff_t>(begin),
+                rows.begin() + static_cast<ptrdiff_t>(end),
+                [&](uint32_t row) { return binned.Bin(f, row) <= cut; }));
+            if (left_count > 0 && left_count < end - begin) break;
+          }
+          if (left_count == 0 || left_count == end - begin) return;
+          std::partition(rows.begin() + static_cast<ptrdiff_t>(begin),
+                         rows.begin() + static_cast<ptrdiff_t>(end),
+                         [&](uint32_t row) {
+                           return binned.Bin(f, row) <= cut;
+                         });
+          const size_t mid = begin + left_count;
+          const bool left_smaller = mid - begin <= end - mid;
+          const size_t small_begin = left_smaller ? begin : mid;
+          const size_t small_end = left_smaller ? mid : end;
+          const std::span<const uint32_t> small =
+              std::span<const uint32_t>(rows).subspan(small_begin,
+                                                      small_end - small_begin);
+          NodeHistogram* sparse_child = acquire(&sparse_pool, depth + 1);
+          NodeHistogram* dense_child = acquire(&dense_pool, depth + 1);
+          const bool was_sparse = sparse->sparse();
+          sparse_child->Fill(binned, layout, small, values, sparse, true);
+          dense_child->Fill(binned, layout, small, values, dense, true);
+          EXPECT_EQ(sparse_child->sparse(), was_sparse) << where;
+          if (was_sparse) {
+            ExpectListsExact(*sparse_child, layout, where + " after fill");
+            ExpectListsExact(*sparse, layout, where + " after subtract");
+            checks += 2;
+          }
+          NodeHistogram* sparse_left = left_smaller ? sparse_child : sparse;
+          NodeHistogram* sparse_right = left_smaller ? sparse : sparse_child;
+          NodeHistogram* dense_left = left_smaller ? dense_child : dense;
+          NodeHistogram* dense_right = left_smaller ? dense : dense_child;
+          grow(begin, mid, depth + 1, sparse_left, dense_left);
+          grow(mid, end, depth + 1, sparse_right, dense_right);
+        };
+    grow(0, rows.size(), 0, sparse_root, dense_root);
+    EXPECT_GT(checks, 0u) << "trial " << trial << " never went sparse";
+  }
+}
+
+std::string NodeBytes(const std::vector<GrowNode>& nodes) {
+  std::ostringstream out;
+  for (const GrowNode& node : nodes) {
+    out << node.left << ' ' << node.right << ' ' << node.feature << ' '
+        << std::bit_cast<uint64_t>(node.threshold) << ' '
+        << std::bit_cast<uint64_t>(node.value) << ' '
+        << std::bit_cast<uint64_t>(node.gain) << '\n';
+  }
+  return std::move(out).str();
+}
+
+template <class BinSource>
+std::string GrowBytes(const BinSource& bins, const BinMapper& mapper,
+                      const HistogramLayout& layout,
+                      std::span<const double> values,
+                      const std::vector<size_t>& rows, const GrowSpec& spec,
+                      bool allow_sparse) {
+  DataPartition partition;
+  partition.Reset(rows);
+  internal::HistTreeGrower<BinSource> grower(bins, mapper, layout, values,
+                                             &partition, spec);
+  return NodeBytes(grower.Grow(allow_sparse));
+}
+
+// Sparse growth against the all-dense reference: every node — split, bin,
+// threshold, leaf payload and gain bits — must match, for forest-style
+// (mean mode, full depth, feature subsets, bootstrap duplicates) and
+// boosting-style (Newton mode on gradients, depth-limited) trees, on both
+// bin sources.
+TEST(BinnedPropertyTest, SparseGrowthEqualsDenseGrowthByteForByte) {
+  Rng rng(31337);
+  for (int trial = 0; trial < 8; ++trial) {
+    const size_t n = 200 + rng.UniformInt(uint64_t{400});
+    const Dataset train =
+        MakeCorpus(&rng, n,
+                   {ColumnKind::kContinuous, ColumnKind::kManyDistinct,
+                    ColumnKind::kFewDistinct, ColumnKind::kConstant});
+    BinMapper mapper;
+    mapper.Compute(train.x(), /*max_bins=*/64);
+    const HistogramLayout layout(mapper);
+    BinnedDataset binned;
+    binned.Build(train.x(), mapper);
+    const OnTheFlyBins on_the_fly{&train.x(), &mapper};
+
+    const std::vector<double> targets = AdversarialValues(&rng, n);
+    std::vector<double> gradients(n);
+    for (size_t i = 0; i < n; ++i) gradients[i] = 0.37 - targets[i];
+    std::vector<size_t> bootstrap(n);
+    for (size_t& row : bootstrap) row = rng.UniformInt(n);
+    std::vector<size_t> identity(n);
+    std::iota(identity.begin(), identity.end(), size_t{0});
+
+    GrowSpec forest;
+    forest.max_features = trial % 2 == 0 ? 0 : 2;
+    forest.seed = 1000 + static_cast<uint64_t>(trial);
+    GrowSpec boosting;
+    boosting.newton = true;
+    boosting.depth_limited = true;
+    boosting.max_depth = 9;
+    boosting.min_samples_leaf = 3;
+    boosting.learning_rate = 0.3;
+    boosting.l2 = 0.5;
+
+    const struct {
+      const char* name;
+      const GrowSpec& spec;
+      const std::vector<double>& values;
+      const std::vector<size_t>& rows;
+    } cases[] = {{"forest", forest, targets, bootstrap},
+                 {"boosting", boosting, gradients, identity}};
+    for (const auto& c : cases) {
+      const std::string dense = GrowBytes(binned, mapper, layout, c.values,
+                                          c.rows, c.spec, false);
+      EXPECT_EQ(GrowBytes(binned, mapper, layout, c.values, c.rows, c.spec,
+                          true),
+                dense)
+          << c.name << " diverged on trial " << trial << " (" << n
+          << " rows)";
+      EXPECT_EQ(GrowBytes(on_the_fly, mapper, layout, c.values, c.rows,
+                          c.spec, true),
+                dense)
+          << c.name << " diverged across bin sources on trial " << trial;
+    }
+  }
 }
 
 }  // namespace
