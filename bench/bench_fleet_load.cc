@@ -6,11 +6,14 @@
 //
 // Phases, each timed separately:
 //   0. checkpoint — mmap segmented vs legacy text checkpoint of the same
-//                   fleet: save both formats, then time (and peak-RSS
-//                   measure, via VmHWM with a clear_refs reset) a fresh
-//                   LoadCheckpoint of each. The segmented load must be
-//                   faster and no hungrier than the legacy parse — the
-//                   ISSUE 10 out-of-core acceptance;
+//                   fleet: save both formats, time 25 single-vehicle
+//                   saves (median) and the file growth they cost, then
+//                   time (and peak-RSS measure, via VmHWM with a
+//                   clear_refs reset) a fresh LoadCheckpoint of each. The
+//                   segmented load must be faster and no hungrier than the
+//                   legacy parse — the out-of-core acceptance — and a
+//                   single-vehicle save must grow the file by at most
+//                   kMaxSaveVehicleBytes, whatever the fleet size;
 //   1. warm load  — pipelined LoadHistory waves across all shard queues;
 //   2. refresh    — one Refresh barrier training every vehicle;
 //   3. mixed      — 80% forecast reads / 20% single-day appends, reads
@@ -94,18 +97,35 @@ double Percentile(const nextmaint::telemetry::HistogramSnapshot& snapshot,
   return snapshot.max;
 }
 
+double Mb(uint64_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
 bool IsAck(const protocol::Response& response) {
   return std::holds_alternative<protocol::AckResponse>(response);
 }
 
+/// Single-vehicle saves timed per run; each is one commit.
+constexpr size_t kSaveVehicleSamples = 25;
+/// Cap on the file growth of one single-vehicle save. It does not depend
+/// on the fleet: a save appends one segment and a delta index of at most
+/// ceil(sqrt(fleet)) entries, and compacts to a full index only once per
+/// that many distinct saves.
+constexpr uint64_t kMaxSaveVehicleBytes = 64 * 1024;
+
 /// Phase 0 results: both checkpoint formats over the same fleet.
 struct CheckpointBench {
   double save_seconds = 0.0;          // segmented SaveAll of the fleet
-  double save_vehicle_seconds = 0.0;  // single-segment rewrite + commit
+  double save_vehicle_seconds = 0.0;  // median single-vehicle save + commit
+  uint64_t save_vehicle_bytes = 0;    // mean file growth per such save
   double mmap_load_seconds = 0.0;
   double legacy_load_seconds = 0.0;
   uint64_t mmap_rss_delta = 0;    // peak-RSS growth during each load
   uint64_t legacy_rss_delta = 0;
+  // Current RssAnon / RssFile growth across the mmap load, in MB: where
+  // the load's resident memory sits (heap vs mapped file pages).
+  double mmap_rss_anon_mb = 0.0;
+  double mmap_rss_file_mb = 0.0;
   uint64_t checkpoint_bytes = 0;  // segmented file size
   bool rss_reset = false;  // both clear_refs resets were honoured
 };
@@ -176,20 +196,38 @@ CheckpointBench RunCheckpointBench(const std::vector<std::string>& ids,
   CheckpointDie(writer->LoadCheckpoint(mmap_path), "stage for legacy save");
   CheckpointDie(writer->SaveLegacyCheckpoint(legacy_path),
                 "SaveLegacyCheckpoint");
-  const Clock::time_point save_vehicle_start = Clock::now();
-  CheckpointDie(writer->SaveVehicleCheckpoint(mmap_path, ids.front()),
-                "SaveVehicleCheckpoint");
-  out.save_vehicle_seconds = SecondsSince(save_vehicle_start);
+  const uint64_t size_before_saves =
+      static_cast<uint64_t>(fs::file_size(mmap_path, ec));
+  std::vector<double> save_vehicle_seconds;
+  for (size_t i = 0; i < kSaveVehicleSamples; ++i) {
+    const std::string& id = ids[i * ids.size() / kSaveVehicleSamples];
+    const Clock::time_point save_vehicle_start = Clock::now();
+    CheckpointDie(writer->SaveVehicleCheckpoint(mmap_path, id),
+                  "SaveVehicleCheckpoint");
+    save_vehicle_seconds.push_back(SecondsSince(save_vehicle_start));
+  }
+  out.save_vehicle_bytes =
+      (static_cast<uint64_t>(fs::file_size(mmap_path, ec)) -
+       size_before_saves) /
+      kSaveVehicleSamples;
+  std::nth_element(save_vehicle_seconds.begin(),
+                   save_vehicle_seconds.begin() + kSaveVehicleSamples / 2,
+                   save_vehicle_seconds.end());
+  out.save_vehicle_seconds = save_vehicle_seconds[kSaveVehicleSamples / 2];
 
   // `writer` stays alive across both measured loads so neither one
   // recycles heap pages the other just freed.
   auto mmap_fleet = make_fleet();
   const bool reset_mmap = bench::ResetPeakRss();
   const uint64_t mmap_rss_before = bench::PeakRssBytes();
+  const uint64_t mmap_anon_before = bench::RssAnonBytes();
+  const uint64_t mmap_file_before = bench::RssFileBytes();
   const Clock::time_point mmap_start = Clock::now();
   CheckpointDie(mmap_fleet->LoadCheckpoint(mmap_path), "mmap LoadCheckpoint");
   out.mmap_load_seconds = SecondsSince(mmap_start);
   const uint64_t mmap_rss_after = bench::PeakRssBytes();
+  out.mmap_rss_anon_mb = Mb(bench::RssAnonBytes()) - Mb(mmap_anon_before);
+  out.mmap_rss_file_mb = Mb(bench::RssFileBytes()) - Mb(mmap_file_before);
 
   auto legacy_fleet = make_fleet();
   const bool reset_legacy = bench::ResetPeakRss();
@@ -428,8 +466,10 @@ int main() {
       "\"append_p50_ms\":%.3f,\"append_p99_ms\":%.3f,"
       "\"read_p50_ms\":%.3f,\"read_p99_ms\":%.3f,\"telemetry\":%s,"
       "\"ckpt_bytes\":%llu,\"ckpt_save_seconds\":%.3f,"
-      "\"ckpt_save_vehicle_ms\":%.3f,\"ckpt_mmap_load_seconds\":%.4f,"
+      "\"ckpt_save_vehicle_ms\":%.3f,\"ckpt_save_vehicle_bytes\":%llu,"
+      "\"ckpt_mmap_load_seconds\":%.4f,"
       "\"ckpt_legacy_load_seconds\":%.4f,\"ckpt_mmap_rss_mb\":%.1f,"
+      "\"ckpt_mmap_rss_anon_mb\":%.1f,\"ckpt_mmap_rss_file_mb\":%.1f,"
       "\"ckpt_legacy_rss_mb\":%.1f,\"rss_reset\":%s,"
       "\"peak_rss_mb\":%.1f}",
       static_cast<long long>(vehicles), static_cast<long long>(days), shards,
@@ -447,12 +487,11 @@ int main() {
       telemetry_live ? "true" : "false",
       static_cast<unsigned long long>(ckpt.checkpoint_bytes),
       ckpt.save_seconds, ckpt.save_vehicle_seconds * 1e3,
+      static_cast<unsigned long long>(ckpt.save_vehicle_bytes),
       ckpt.mmap_load_seconds, ckpt.legacy_load_seconds,
-      static_cast<double>(ckpt.mmap_rss_delta) / (1024.0 * 1024.0),
-      static_cast<double>(ckpt.legacy_rss_delta) / (1024.0 * 1024.0),
-      ckpt.rss_reset ? "true" : "false",
-      static_cast<double>(nextmaint::bench::PeakRssBytes()) /
-          (1024.0 * 1024.0));
+      Mb(ckpt.mmap_rss_delta), ckpt.mmap_rss_anon_mb, ckpt.mmap_rss_file_mb,
+      Mb(ckpt.legacy_rss_delta), ckpt.rss_reset ? "true" : "false",
+      Mb(nextmaint::bench::PeakRssBytes()));
   std::printf("%s\n", json);
 
   if (const char* path = std::getenv("NEXTMAINT_BENCH_JSON")) {
@@ -476,6 +515,15 @@ int main() {
     std::fprintf(stderr,
                  "%llu forecast reads came back non-OK after warm refresh\n",
                  static_cast<unsigned long long>(read_errors));
+    return 1;
+  }
+  // Bytes are deterministic, so this gate holds at every fleet size.
+  if (ckpt.save_vehicle_bytes > kMaxSaveVehicleBytes) {
+    std::fprintf(stderr,
+                 "a single-vehicle save grew the checkpoint by %llu bytes, "
+                 "more than the %llu-byte cap\n",
+                 static_cast<unsigned long long>(ckpt.save_vehicle_bytes),
+                 static_cast<unsigned long long>(kMaxSaveVehicleBytes));
     return 1;
   }
   // The out-of-core acceptance only has teeth at scale; tiny CI fleets

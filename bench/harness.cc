@@ -126,14 +126,20 @@ void PrintTableRow(const std::vector<std::string>& cells) {
   std::printf("\n");
 }
 
-uint64_t PeakRssBytes() {
+namespace {
+
+/// The "<field>: <n> kB" line of /proc/self/status, in bytes; 0 when it
+/// cannot be read.
+uint64_t ProcStatusBytes(const char* field) {
   std::FILE* status = std::fopen("/proc/self/status", "r");
   if (status == nullptr) return 0;
+  const size_t field_len = std::strlen(field);
   uint64_t bytes = 0;
   char line[256];
   while (std::fgets(line, sizeof(line), status) != nullptr) {
     unsigned long long kib = 0;
-    if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) {
+    if (std::strncmp(line, field, field_len) == 0 && line[field_len] == ':' &&
+        std::sscanf(line + field_len + 1, " %llu kB", &kib) == 1) {
       bytes = static_cast<uint64_t>(kib) * 1024;
       break;
     }
@@ -141,6 +147,12 @@ uint64_t PeakRssBytes() {
   std::fclose(status);
   return bytes;
 }
+
+}  // namespace
+
+uint64_t PeakRssBytes() { return ProcStatusBytes("VmHWM"); }
+uint64_t RssAnonBytes() { return ProcStatusBytes("RssAnon"); }
+uint64_t RssFileBytes() { return ProcStatusBytes("RssFile"); }
 
 bool ResetPeakRss() {
   std::FILE* clear_refs = std::fopen("/proc/self/clear_refs", "w");

@@ -88,6 +88,10 @@ void PrintTableRow(const std::vector<std::string>& cells);
 /// unmounted); benches then report their RSS fields as 0 rather than
 /// failing.
 uint64_t PeakRssBytes();
+/// Current anonymous (heap) and file-backed (mmap, text) resident bytes,
+/// RssAnon and RssFile from /proc/self/status; 0 when unreadable.
+uint64_t RssAnonBytes();
+uint64_t RssFileBytes();
 
 /// Resets the kernel's peak-RSS watermark to the *current* RSS by writing
 /// "5" to /proc/self/clear_refs, so a subsequent PeakRssBytes() reflects

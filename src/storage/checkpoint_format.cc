@@ -12,25 +12,51 @@ namespace storage {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: [0] is the bytewise table of the reflected IEEE
+/// polynomial, and [k][b] is the CRC state after byte b followed by k zero
+/// bytes, so eight lookups advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t t = 1; t < tables.size(); ++t) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[t - 1][i];
+      tables[t][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> data) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  static const CrcTables kTables = BuildCrcTables();
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (uint8_t byte : data) {
-    crc = kTable[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -130,7 +156,9 @@ std::string EncodeSuperblockSlot(const SuperblockSlot& slot) {
   std::string out;
   out.reserve(kSuperblockSlotBytes);
   out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  AppendU32(&out, kCheckpointVersion);
+  NM_CHECK(slot.version == kCheckpointVersion ||
+           slot.version == kCheckpointDeltaVersion);
+  AppendU32(&out, slot.version);
   AppendU32(&out, slot.vehicle_count);
   AppendU64(&out, slot.generation);
   AppendU64(&out, slot.index_offset);
@@ -164,18 +192,18 @@ Result<SuperblockSlot> DecodeSuperblockSlot(std::span<const uint8_t> buf) {
     return Status::DataLoss("superblock slot CRC mismatch");
   }
   ByteParser parser(buf.subspan(sizeof(kCheckpointMagic)));
-  uint32_t version = 0;
   SuperblockSlot slot;
-  NM_RETURN_NOT_OK(parser.ReadU32(&version));
+  NM_RETURN_NOT_OK(parser.ReadU32(&slot.version));
   NM_RETURN_NOT_OK(parser.ReadU32(&slot.vehicle_count));
   NM_RETURN_NOT_OK(parser.ReadU64(&slot.generation));
   NM_RETURN_NOT_OK(parser.ReadU64(&slot.index_offset));
   NM_RETURN_NOT_OK(parser.ReadU64(&slot.index_size));
   NM_RETURN_NOT_OK(parser.ReadU32(&slot.index_crc32));
   NM_RETURN_NOT_OK(parser.ReadU64(&slot.file_used));
-  if (version != kCheckpointVersion) {
+  if (slot.version != kCheckpointVersion &&
+      slot.version != kCheckpointDeltaVersion) {
     return Status::DataLoss("unsupported checkpoint version " +
-                            std::to_string(version));
+                            std::to_string(slot.version));
   }
   if (slot.generation == 0) {
     return Status::DataLoss("superblock slot has generation 0");
@@ -185,7 +213,10 @@ Result<SuperblockSlot> DecodeSuperblockSlot(std::span<const uint8_t> buf) {
       slot.index_offset > slot.file_used - slot.index_size) {
     return Status::DataLoss("superblock index span escapes the data region");
   }
-  if (static_cast<uint64_t>(slot.vehicle_count) * kMinIndexEntryBytes >
+  const uint64_t header_bytes =
+      slot.version == kCheckpointDeltaVersion ? kDeltaIndexHeaderBytes : 0;
+  if (static_cast<uint64_t>(slot.vehicle_count) * kMinIndexEntryBytes +
+          header_bytes >
       slot.index_size) {
     return Status::DataLoss("vehicle count " +
                             std::to_string(slot.vehicle_count) +
@@ -258,6 +289,37 @@ Result<std::vector<SegmentIndexEntry>> DecodeSegmentIndex(
     return Status::DataLoss("trailing bytes after the last index entry");
   }
   return entries;
+}
+
+std::string EncodeDeltaIndexHeader(const IndexRef& base) {
+  std::string out;
+  out.reserve(kDeltaIndexHeaderBytes);
+  AppendU64(&out, base.offset);
+  AppendU64(&out, base.size);
+  AppendU32(&out, base.crc32);
+  AppendU32(&out, base.count);
+  NM_CHECK(out.size() == kDeltaIndexHeaderBytes);
+  return out;
+}
+
+Result<IndexRef> DecodeDeltaIndexHeader(std::span<const uint8_t> buf,
+                                        uint64_t base_limit) {
+  ByteParser parser(buf);
+  IndexRef base;
+  NM_RETURN_NOT_OK(parser.ReadU64(&base.offset));
+  NM_RETURN_NOT_OK(parser.ReadU64(&base.size));
+  NM_RETURN_NOT_OK(parser.ReadU32(&base.crc32));
+  NM_RETURN_NOT_OK(parser.ReadU32(&base.count));
+  if (base.offset < kDataRegionOffset || base.size > base_limit ||
+      base.offset > base_limit - base.size) {
+    return Status::DataLoss("delta index names a base index outside the "
+                            "data region");
+  }
+  if (static_cast<uint64_t>(base.count) * kMinIndexEntryBytes > base.size) {
+    return Status::DataLoss("base index count " + std::to_string(base.count) +
+                            " cannot fit the base index");
+  }
+  return base;
 }
 
 }  // namespace storage

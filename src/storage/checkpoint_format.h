@@ -18,29 +18,44 @@
 ///
 ///     offset 0    superblock slot A (64 bytes)
 ///     offset 64   superblock slot B (64 bytes)
-///     offset 128  data region: segments and index copies, append-only
+///     offset 128  data region: segments and index blocks, append-only
 ///
 /// A *segment* is one vehicle's opaque model payload (the same text bytes
-/// `Regressor::Save` emits — storage never parses models). The *index* is a
-/// sorted table of (vehicle id, model name, segment offset/size/crc32)
-/// entries. A *superblock slot* names the committed index; the two slots
-/// alternate shadow-paging style:
+/// `Regressor::Save` emits — storage never parses models). A *full index* is
+/// a sorted table of (vehicle id, model name, segment offset/size/crc32)
+/// entries. A *delta index* is a small block: a kDeltaIndexHeaderBytes
+/// header naming a full index (its offset u64, size u64, CRC32 u32 and
+/// entry count u32), then, in the same entry encoding, the sorted entries
+/// that changed since that full index. A
+/// *superblock slot* names the committed index block; the two slots
+/// alternate shadow-paging style, and the slot's version says which kind
+/// of block it names:
 ///
-///  - A full SaveAll writes a fresh tmp file (slot A = generation 1,
-///    slot B zeroed) and renames it into place — the legacy atomicity.
-///  - A single-vehicle update appends the new segment and a new index copy
-///    to the data region, then publishes them by overwriting the *other*
-///    slot with generation + 1. Readers take the valid slot with the
-///    highest generation, so a torn commit is invisible: old segments, the
-///    old index and the old slot are never modified in place.
+///  - kCheckpointVersion (1): a full index of `vehicle_count` entries.
+///    A full SaveAll writes a fresh tmp file (slot A = generation 1, slot B
+///    zeroed) and renames it into place — the legacy atomicity.
+///  - kCheckpointDeltaVersion (2): a delta index of `vehicle_count`
+///    entries. A single-vehicle update appends the new segment and a delta
+///    block to the data region, then publishes them by overwriting the
+///    *other* slot with generation + 1. The delta repeats every entry
+///    changed since its full index, so a commit rewrites O(changed) bytes.
+///    When the delta would grow past ceil(sqrt(full index count)) entries,
+///    the commit writes a merged full index under a version-1 slot instead
+///    (compaction).
+///
+/// Readers take the valid slot with the highest generation, so a torn
+/// commit is invisible: old segments, old index blocks and the old slot are
+/// never modified in place. Builds that predate delta indexes reject a
+/// version-2 slot; they fall back to the other slot (an older generation)
+/// or report kDataLoss when both slots are version 2.
 ///
 /// Everything multi-byte is little-endian. Each slot carries a CRC32 over
-/// its first 60 bytes; the index and every segment carry their own CRC32.
-/// Decoders in this header are pure span -> struct functions so the fuzz
-/// suite (tests/storage/) can hammer them without touching a filesystem,
-/// mirroring the wire-protocol decoders (serve/protocol.h). Corruption is
-/// reported as StatusCode::kDataLoss: bytes we previously wrote back can no
-/// longer be trusted.
+/// its first 60 bytes; every index block and every segment carry their own
+/// CRC32. Decoders in this header are pure span -> struct functions so the
+/// fuzz suite (tests/storage/) can hammer them without touching a
+/// filesystem, mirroring the wire-protocol decoders (serve/protocol.h).
+/// Corruption is reported as StatusCode::kDataLoss: bytes we previously
+/// wrote back can no longer be trusted.
 
 namespace nextmaint {
 namespace storage {
@@ -48,7 +63,10 @@ namespace storage {
 /// First bytes of every segmented checkpoint ("NMCKPT1\0").
 inline constexpr char kCheckpointMagic[8] = {'N', 'M', 'C', 'K',
                                              'P', 'T', '1', '\0'};
+/// Slot version naming a full index.
 inline constexpr uint32_t kCheckpointVersion = 1;
+/// Slot version naming a delta index.
+inline constexpr uint32_t kCheckpointDeltaVersion = 2;
 /// One superblock slot, encoded.
 inline constexpr size_t kSuperblockSlotBytes = 64;
 /// Start of the append-only data region (after the two slots).
@@ -58,6 +76,8 @@ inline constexpr uint64_t kDataRegionOffset = 2 * kSuperblockSlotBytes;
 inline constexpr size_t kMaxNameBytes = 1024;
 /// Encoded size floor of one index entry (empty id and name).
 inline constexpr size_t kMinIndexEntryBytes = 2 + 2 + 8 + 8 + 4;
+/// Encoded size of the header that opens a delta index block.
+inline constexpr size_t kDeltaIndexHeaderBytes = 8 + 8 + 4 + 4;
 
 /// CRC-32 (IEEE 802.3, reflected) over `data`.
 uint32_t Crc32(std::span<const uint8_t> data);
@@ -102,9 +122,13 @@ class ByteParser {
 
 /// Decoded superblock slot. `generation` 0 never occurs in a valid slot.
 struct SuperblockSlot {
+  /// kCheckpointVersion (index_* name a full index) or
+  /// kCheckpointDeltaVersion (index_* name a delta index block).
+  uint32_t version = kCheckpointVersion;
+  /// Entries in the named index block (for a delta: changed entries only).
   uint32_t vehicle_count = 0;
   uint64_t generation = 0;
-  /// Absolute file offset / byte size of the committed index.
+  /// Absolute file offset / byte size of the committed index block.
   uint64_t index_offset = 0;
   uint64_t index_size = 0;
   uint32_t index_crc32 = 0;
@@ -123,7 +147,16 @@ struct SegmentIndexEntry {
   uint32_t payload_crc32 = 0;
 };
 
+/// Location, checksum and entry count of one encoded full index.
+struct IndexRef {
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint32_t crc32 = 0;
+  uint32_t count = 0;
+};
+
 /// Encodes one superblock slot (exactly kSuperblockSlotBytes, CRC filled).
+/// `slot.version` must be kCheckpointVersion or kCheckpointDeltaVersion.
 std::string EncodeSuperblockSlot(const SuperblockSlot& slot);
 
 /// Decodes and validates one superblock slot: magic, version, slot CRC,
@@ -143,6 +176,17 @@ std::string EncodeSegmentIndex(const std::vector<SegmentIndexEntry>& entries);
 /// lies inside [kDataRegionOffset, file_limit). kDataLoss on any violation.
 [[nodiscard]] Result<std::vector<SegmentIndexEntry>> DecodeSegmentIndex(
     std::span<const uint8_t> buf, uint32_t vehicle_count, uint64_t file_limit);
+
+/// Encodes the header of a delta index block; the block is this header
+/// followed by EncodeSegmentIndex(changed entries).
+std::string EncodeDeltaIndexHeader(const IndexRef& base);
+
+/// Decodes the header at the front of a delta index block `buf` (the exact
+/// committed block bytes; the caller has already verified its CRC). The
+/// named full index must lie inside [kDataRegionOffset, base_limit) and be
+/// able to hold its entry count. kDataLoss on any violation.
+[[nodiscard]] Result<IndexRef> DecodeDeltaIndexHeader(
+    std::span<const uint8_t> buf, uint64_t base_limit);
 
 }  // namespace storage
 }  // namespace nextmaint

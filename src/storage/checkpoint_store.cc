@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -114,14 +115,91 @@ Result<SuperblockSlot> PickSuperblock(std::span<const uint8_t> head) {
   return a.status().WithContext("no valid superblock slot");
 }
 
-/// Validates the committed index bytes against the superblock CRC and
-/// decodes it.
-Result<std::vector<SegmentIndexEntry>> DecodeCommittedIndex(
-    const SuperblockSlot& slot, std::span<const uint8_t> index_bytes) {
-  if (Crc32(index_bytes) != slot.index_crc32) {
+std::span<const uint8_t> AsBytes(const std::string& s) {
+  return std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(s.data()),
+                                  s.size());
+}
+
+/// The full index a version-1 slot names.
+IndexRef FullIndexOf(const SuperblockSlot& slot) {
+  return IndexRef{slot.index_offset, slot.index_size, slot.index_crc32,
+                  slot.vehicle_count};
+}
+
+/// Validates a full index's bytes against its CRC and decodes it.
+Result<std::vector<SegmentIndexEntry>> DecodeFullIndex(
+    const IndexRef& index, std::span<const uint8_t> bytes,
+    uint64_t file_limit) {
+  if (Crc32(bytes) != index.crc32) {
     return Status::DataLoss("segment index CRC mismatch");
   }
-  return DecodeSegmentIndex(index_bytes, slot.vehicle_count, slot.file_used);
+  return DecodeSegmentIndex(bytes, index.count, file_limit);
+}
+
+/// A decoded delta index block: the full index it applies to and the
+/// id-sorted entries changed since.
+struct DeltaIndex {
+  IndexRef base;
+  std::vector<SegmentIndexEntry> entries;
+};
+
+/// Validates the delta block a version-2 slot names against the slot CRC
+/// and decodes it.
+Result<DeltaIndex> DecodeDeltaIndex(const SuperblockSlot& slot,
+                                    std::span<const uint8_t> bytes) {
+  if (Crc32(bytes) != slot.index_crc32) {
+    return Status::DataLoss("delta index CRC mismatch");
+  }
+  DeltaIndex delta;
+  NM_ASSIGN_OR_RETURN(delta.base,
+                      DecodeDeltaIndexHeader(bytes, slot.index_offset));
+  NM_ASSIGN_OR_RETURN(
+      delta.entries,
+      DecodeSegmentIndex(bytes.subspan(kDeltaIndexHeaderBytes),
+                         slot.vehicle_count, slot.file_used));
+  return delta;
+}
+
+bool IdLess(const SegmentIndexEntry& a, const SegmentIndexEntry& b) {
+  return a.vehicle_id < b.vehicle_id;
+}
+
+/// Linear merge of two id-sorted index lists, moving each surviving entry
+/// into `emit` in id order. Where both hold an id, the entry from `changed`
+/// wins.
+template <typename Emit>
+void MergeIndex(std::vector<SegmentIndexEntry>& base,
+                std::vector<SegmentIndexEntry>& changed, Emit emit) {
+  auto b = base.begin();
+  for (SegmentIndexEntry& entry : changed) {
+    for (; b != base.end() && b->vehicle_id < entry.vehicle_id; ++b) {
+      emit(std::move(*b));
+    }
+    if (b != base.end() && b->vehicle_id == entry.vehicle_id) ++b;
+    emit(std::move(entry));
+  }
+  for (; b != base.end(); ++b) emit(std::move(*b));
+}
+
+std::vector<SegmentIndexEntry> Merged(std::vector<SegmentIndexEntry> base,
+                                      std::vector<SegmentIndexEntry> changed) {
+  std::vector<SegmentIndexEntry> merged;
+  merged.reserve(base.size() + changed.size());
+  MergeIndex(base, changed, [&merged](SegmentIndexEntry&& entry) {
+    merged.push_back(std::move(entry));
+  });
+  return merged;
+}
+
+/// Most entries a delta over a full index of `base_count` entries may
+/// hold: ceil(sqrt(base_count)). A commit past it compacts, so a delta
+/// stays O(sqrt(fleet)) bytes and the O(fleet) compaction happens at most
+/// once per that many distinct vehicle saves.
+size_t MaxDeltaEntries(uint32_t base_count) {
+  auto root = static_cast<uint64_t>(std::sqrt(static_cast<double>(base_count)));
+  while (root * root < base_count) ++root;
+  while (root > 0 && (root - 1) * (root - 1) >= base_count) --root;
+  return static_cast<size_t>(root);
 }
 
 [[nodiscard]] Status CheckRecordNames(const VehicleRecord& record) {
@@ -253,22 +331,32 @@ Result<CheckpointManifest> CheckpointStore::Load() {
                             " bytes committed, " +
                             std::to_string(bytes.size()) + " on disk)");
   }
-  Result<std::vector<SegmentIndexEntry>> index_result = DecodeCommittedIndex(
-      slot, bytes.subspan(slot.index_offset, slot.index_size));
+  // A full index is named by the slot itself; a delta block names the full
+  // index it applies to. Either way the manifest is one linear merge.
+  DeltaIndex delta{FullIndexOf(slot), {}};
+  if (slot.version == kCheckpointDeltaVersion) {
+    Result<DeltaIndex> delta_result = DecodeDeltaIndex(
+        slot, bytes.subspan(slot.index_offset, slot.index_size));
+    if (!delta_result.ok()) return delta_result.status().WithContext(path_);
+    delta = std::move(delta_result).ValueOrDie();
+  }
+  Result<std::vector<SegmentIndexEntry>> index_result = DecodeFullIndex(
+      delta.base, bytes.subspan(delta.base.offset, delta.base.size),
+      slot.file_used);
   if (!index_result.ok()) return index_result.status().WithContext(path_);
   std::vector<SegmentIndexEntry> entries =
       std::move(index_result).ValueOrDie();
   CheckpointManifest manifest;
   manifest.generation = slot.generation;
-  manifest.vehicles.reserve(entries.size());
-  for (SegmentIndexEntry& entry : entries) {
+  manifest.vehicles.reserve(entries.size() + delta.entries.size());
+  MergeIndex(entries, delta.entries, [&](SegmentIndexEntry&& entry) {
     ManifestEntry out;
     out.vehicle_id = std::move(entry.vehicle_id);
     out.model_name = std::move(entry.model_name);
     out.segment = SegmentView(file, entry.segment_offset, entry.payload_size,
                               entry.payload_crc32);
     manifest.vehicles.push_back(std::move(out));
-  }
+  });
   return manifest;
 }
 
@@ -346,7 +434,8 @@ Result<uint64_t> CheckpointStore::SaveAll(std::vector<VehicleRecord> records) {
   MutexLock lock(mu_);
   committed_loaded_ = true;
   committed_ = slot;
-  committed_index_ = std::move(entries);
+  base_ = FullIndexOf(slot);
+  delta_.clear();
   staged_.clear();
   staged_tail_ = slot.file_used;
   return slot.generation;
@@ -374,18 +463,17 @@ Status CheckpointStore::RefreshCommittedState() {
   NM_RETURN_NOT_OK(PreadAll(fd.get(), head, sizeof(head), 0, path_));
   NM_ASSIGN_OR_RETURN(SuperblockSlot slot,
                       PickSuperblock(std::span<const uint8_t>(head)));
-  std::string index_bytes;
-  index_bytes.resize(slot.index_size);
-  NM_RETURN_NOT_OK(PreadAll(fd.get(), index_bytes.data(), index_bytes.size(),
-                            slot.index_offset, path_));
-  NM_ASSIGN_OR_RETURN(
-      std::vector<SegmentIndexEntry> entries,
-      DecodeCommittedIndex(
-          slot, std::span<const uint8_t>(
-                    reinterpret_cast<const uint8_t*>(index_bytes.data()),
-                    index_bytes.size())));
+  // A full index is named by the slot itself; only a delta block is read.
+  DeltaIndex delta{FullIndexOf(slot), {}};
+  if (slot.version == kCheckpointDeltaVersion) {
+    std::string block(slot.index_size, '\0');
+    NM_RETURN_NOT_OK(PreadAll(fd.get(), block.data(), block.size(),
+                              slot.index_offset, path_));
+    NM_ASSIGN_OR_RETURN(delta, DecodeDeltaIndex(slot, AsBytes(block)));
+  }
   committed_ = slot;
-  committed_index_ = std::move(entries);
+  base_ = delta.base;
+  delta_ = std::move(delta.entries);
   staged_.clear();
   staged_tail_ = slot.file_used;
   committed_loaded_ = true;
@@ -415,14 +503,11 @@ Status CheckpointStore::SaveVehicle(const VehicleRecord& record) {
   staged_tail_ += entry.payload_size;
   // Restaging a vehicle before Commit keeps the newest payload; the
   // superseded append becomes an unreferenced orphan past file_used.
-  auto it = std::find_if(staged_.begin(), staged_.end(),
-                         [&](const SegmentIndexEntry& staged) {
-                           return staged.vehicle_id == record.vehicle_id;
-                         });
-  if (it != staged_.end()) {
+  auto it = std::lower_bound(staged_.begin(), staged_.end(), entry, IdLess);
+  if (it != staged_.end() && it->vehicle_id == entry.vehicle_id) {
     *it = std::move(entry);
   } else {
-    staged_.push_back(std::move(entry));
+    staged_.insert(it, std::move(entry));
   }
   return Status::OK();
 }
@@ -434,41 +519,48 @@ Result<uint64_t> CheckpointStore::Commit() {
   }
   if (staged_.empty()) return committed_.generation;
 
-  // Merge staged entries over the committed index (staged wins), keeping
-  // the sorted order the format requires.
-  std::vector<SegmentIndexEntry> merged = committed_index_;
-  for (const SegmentIndexEntry& staged : staged_) {
-    auto it = std::lower_bound(
-        merged.begin(), merged.end(), staged,
-        [](const SegmentIndexEntry& a, const SegmentIndexEntry& b) {
-          return a.vehicle_id < b.vehicle_id;
-        });
-    if (it != merged.end() && it->vehicle_id == staged.vehicle_id) {
-      *it = staged;
-    } else {
-      merged.insert(it, staged);
-    }
-  }
-  const std::string index = EncodeSegmentIndex(merged);
-  SuperblockSlot slot;
-  slot.vehicle_count = static_cast<uint32_t>(merged.size());
-  slot.generation = committed_.generation + 1;
-  slot.index_offset = staged_tail_;
-  slot.index_size = index.size();
-  slot.index_crc32 = Crc32(index);
-  slot.file_used = staged_tail_ + index.size();
-
-  FileHandle fd(::open(path_.c_str(), O_WRONLY | O_CLOEXEC));
+  FileHandle fd(::open(path_.c_str(), O_RDWR | O_CLOEXEC));
   if (!fd.ok()) {
     return Status::IOError("cannot open '" + path_ +
                            "' for writing: " + std::strerror(errno));
   }
-  // Publish order is what makes a torn commit invisible: (1) the merged
-  // index lands past the committed tail and is fsynced, (2) only then does
+  // Staged entries win over the committed delta. The new block lands at
+  // staged_tail_, past every committed byte.
+  std::vector<SegmentIndexEntry> delta = Merged(delta_, staged_);
+  SuperblockSlot slot;
+  slot.generation = committed_.generation + 1;
+  slot.index_offset = staged_tail_;
+  std::string block;
+  if (delta.size() <= MaxDeltaEntries(base_.count)) {
+    slot.version = kCheckpointDeltaVersion;
+    slot.vehicle_count = static_cast<uint32_t>(delta.size());
+    block = EncodeDeltaIndexHeader(base_) + EncodeSegmentIndex(delta);
+  } else {
+    // Compaction: fold the delta into a new full index, the only commit
+    // that reads (and CRC-checks) the committed full index.
+    std::string base_bytes(base_.size, '\0');
+    NM_RETURN_NOT_OK(PreadAll(fd.get(), base_bytes.data(), base_bytes.size(),
+                              base_.offset, path_));
+    NM_ASSIGN_OR_RETURN(std::vector<SegmentIndexEntry> base_entries,
+                        DecodeFullIndex(base_, AsBytes(base_bytes),
+                                        committed_.file_used));
+    const std::vector<SegmentIndexEntry> full =
+        Merged(std::move(base_entries), std::move(delta));
+    block = EncodeSegmentIndex(full);
+    slot.version = kCheckpointVersion;
+    slot.vehicle_count = static_cast<uint32_t>(full.size());
+    delta.clear();
+  }
+  slot.index_size = block.size();
+  slot.index_crc32 = Crc32(block);
+  slot.file_used = staged_tail_ + block.size();
+
+  // Publish order is what makes a torn commit invisible: (1) the index
+  // block lands past the committed tail and is fsynced, (2) only then does
   // the *alternate* superblock slot flip to the new generation. A crash
   // before (2) leaves the old slot winning; a torn slot write fails its
   // CRC and readers fall back to the old slot.
-  NM_RETURN_NOT_OK(PwriteAll(fd.get(), index.data(), index.size(),
+  NM_RETURN_NOT_OK(PwriteAll(fd.get(), block.data(), block.size(),
                              staged_tail_, path_));
   NEXTMAINT_FAILPOINT("storage.checkpoint.commit");
   NM_RETURN_NOT_OK(FsyncFile(fd.get(), path_));
@@ -480,7 +572,8 @@ Result<uint64_t> CheckpointStore::Commit() {
   NM_RETURN_NOT_OK(FsyncFile(fd.get(), path_));
 
   committed_ = slot;
-  committed_index_ = std::move(merged);
+  if (slot.version == kCheckpointVersion) base_ = FullIndexOf(slot);
+  delta_ = std::move(delta);
   staged_.clear();
   staged_tail_ = slot.file_used;
   return slot.generation;

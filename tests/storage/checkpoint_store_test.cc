@@ -1,8 +1,9 @@
 // Segmented checkpoint store tests: round-trips, byte determinism,
-// single-segment rewrite isolation, corruption handling (every flavour of
-// bad bytes must surface kDataLoss, never a crash), and the torn-rewrite
-// invariant — a failed SaveVehicle/Commit must leave the committed
-// superblock and every other vehicle's segment untouched and readable.
+// single-segment rewrite isolation, delta-index commits and their
+// compaction, corruption handling (every flavour of bad bytes must surface
+// kDataLoss, never a crash), and the torn-rewrite invariant — a failed
+// SaveVehicle/Commit must leave the committed superblock and every other
+// vehicle's segment untouched and readable.
 
 #include "storage/checkpoint_store.h"
 
@@ -10,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,63 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(out.is_open()) << path;
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::span<const uint8_t> AsBytes(const std::string& s) {
+  return std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+/// The valid superblock slot with the highest generation in `path`.
+SuperblockSlot CommittedSlot(const std::string& path) {
+  const std::string bytes = ReadFileBytes(path);
+  SuperblockSlot best;
+  for (size_t i = 0; i < 2 && bytes.size() >= kDataRegionOffset; ++i) {
+    const auto slot = DecodeSuperblockSlot(
+        AsBytes(bytes).subspan(i * kSuperblockSlotBytes, kSuperblockSlotBytes));
+    if (slot.ok() && slot.ValueOrDie().generation > best.generation) {
+      best = slot.ValueOrDie();
+    }
+  }
+  return best;
+}
+
+using RecordMap = std::map<std::string, VehicleRecord>;
+
+/// Writes exactly `records` to `path` with SaveAll through a fresh store.
+bool SaveAllFresh(const std::string& path, const RecordMap& records) {
+  std::vector<VehicleRecord> values;
+  for (const auto& [id, record] : records) values.push_back(record);
+  return CheckpointStore::Open(path).ValueOrDie()->SaveAll(values).ok();
+}
+
+/// `manifest` holds exactly `expected`: ids, model names and payload
+/// bytes, in id order.
+void ExpectManifestHolds(const CheckpointManifest& manifest,
+                         const RecordMap& expected) {
+  ASSERT_EQ(manifest.vehicles.size(), expected.size());
+  auto want = expected.begin();
+  for (const ManifestEntry& entry : manifest.vehicles) {
+    EXPECT_EQ(entry.vehicle_id, want->second.vehicle_id);
+    EXPECT_EQ(entry.model_name, want->second.model_name);
+    const Result<std::string_view> payload = entry.segment.Payload();
+    ASSERT_TRUE(payload.ok()) << entry.vehicle_id;
+    EXPECT_EQ(payload.ValueOrDie(), want->second.payload) << entry.vehicle_id;
+    ++want;
+  }
+}
+
+/// Loads `path` through a fresh store, as a reader process would.
+CheckpointManifest LoadFresh(const std::string& path) {
+  return CheckpointStore::Open(path).ValueOrDie()->Load().ValueOrDie();
+}
+
+/// Stages and commits `record` through a cold store, the way
+/// FleetScheduler::SaveVehicleCheckpoint does. Returns the generation.
+uint64_t CommitOne(const std::string& path, const VehicleRecord& record) {
+  auto store = CheckpointStore::Open(path).ValueOrDie();
+  EXPECT_TRUE(store->SaveVehicle(record).ok()) << record.vehicle_id;
+  return store->Commit().ValueOrDie();
 }
 
 TEST_F(CheckpointStoreTest, SaveAllLoadRoundTrip) {
@@ -170,6 +229,178 @@ TEST_F(CheckpointStoreTest, CommitWithNothingStagedIsANoOp) {
   const std::string before = ReadFileBytes(path_);
   EXPECT_EQ(store->Commit().ValueOrDie(), 1u);
   EXPECT_EQ(ReadFileBytes(path_), before);
+}
+
+// --------------------------------------------------------------------------
+// Delta indexes: a commit writes the entries changed since the last full
+// index; past ceil(sqrt(full index count)) of them it compacts.
+// --------------------------------------------------------------------------
+
+TEST_F(CheckpointStoreTest, ManyColdStoreCommitsLoadLikeSaveAll) {
+  RecordMap expected;
+  for (int v = 0; v < 40; ++v) {
+    const std::string id = "truck-" + std::to_string(v);
+    expected[id] = {id, "BL", "base payload of " + id};
+  }
+  ASSERT_TRUE(SaveAllFresh(path_, expected));
+
+  Rng rng(20261017);
+  int delta_commits = 0;
+  int compactions = 0;
+  for (uint64_t commit = 0; commit < 60; ++commit) {
+    auto store = CheckpointStore::Open(path_).ValueOrDie();
+    const uint64_t staged = 1 + rng.UniformInt(uint64_t{3});
+    for (uint64_t s = 0; s < staged; ++s) {
+      // Ids 40..47 are absent from the base: inserts, not rewrites.
+      const std::string id = "truck-" + std::to_string(rng.UniformInt(48));
+      const VehicleRecord record{
+          id, rng.UniformInt(uint64_t{2}) == 0 ? "LR" : "RF",
+          "commit " + std::to_string(commit) + " of " + id +
+              std::string(rng.UniformInt(uint64_t{64}), 'x')};
+      ASSERT_TRUE(store->SaveVehicle(record).ok());
+      expected[id] = record;
+    }
+    ASSERT_EQ(store->Commit().ValueOrDie(), commit + 2);
+    if (CommittedSlot(path_).version == kCheckpointDeltaVersion) {
+      ++delta_commits;
+    } else {
+      ++compactions;
+    }
+    ExpectManifestHolds(LoadFresh(path_), expected);
+  }
+  EXPECT_GT(delta_commits, 0);
+  EXPECT_GT(compactions, 0);
+
+  // The same records written whole load identically.
+  const std::string reference = path_ + ".reference";
+  ASSERT_TRUE(SaveAllFresh(reference, expected));
+  ExpectManifestHolds(LoadFresh(reference), expected);
+  std::remove(reference.c_str());
+}
+
+TEST_F(CheckpointStoreTest, RestagedAndNewVehiclesCommitAsOneDelta) {
+  RecordMap expected;
+  for (const VehicleRecord& record : ThreeRecords()) {
+    expected[record.vehicle_id] = record;
+  }
+  ASSERT_TRUE(SaveAllFresh(path_, expected));
+  const std::string before = ReadFileBytes(path_);
+
+  auto cold = CheckpointStore::Open(path_).ValueOrDie();
+  const VehicleRecord first{"truck-b", "LR", "first rewrite"};
+  const VehicleRecord added{"truck-d", "BL", "absent from the base"};
+  const VehicleRecord second{"truck-b", "RF", "second rewrite wins"};
+  ASSERT_TRUE(cold->SaveVehicle(first).ok());
+  ASSERT_TRUE(cold->SaveVehicle(added).ok());
+  ASSERT_TRUE(cold->SaveVehicle(second).ok());
+  EXPECT_EQ(cold->Commit().ValueOrDie(), 2u);
+  expected["truck-b"] = second;
+  expected["truck-d"] = added;
+
+  // One delta entry per changed vehicle: the restaged one counts once.
+  const SuperblockSlot slot = CommittedSlot(path_);
+  EXPECT_EQ(slot.version, kCheckpointDeltaVersion);
+  EXPECT_EQ(slot.vehicle_count, 2u);
+  EXPECT_EQ(slot.index_size,
+            kDeltaIndexHeaderBytes + 2 * (kMinIndexEntryBytes + 7 + 2));
+  // The commit appended its three segments and the delta block, nothing
+  // more: no full index was rewritten.
+  EXPECT_EQ(ReadFileBytes(path_).size(),
+            before.size() + first.payload.size() + added.payload.size() +
+                second.payload.size() + slot.index_size);
+  ExpectManifestHolds(LoadFresh(path_), expected);
+}
+
+TEST_F(CheckpointStoreTest, CommitPastSqrtBoundaryCompacts) {
+  RecordMap expected;
+  for (int v = 10; v < 26; ++v) {
+    const std::string id = std::string("v").append(std::to_string(v));
+    expected[id] = {id, "BL", "base " + id};
+  }
+  ASSERT_TRUE(SaveAllFresh(path_, expected));
+  const SuperblockSlot base = CommittedSlot(path_);
+
+  // 16 vehicles: a delta may hold ceil(sqrt(16)) = 4 entries.
+  for (int v = 10; v < 14; ++v) {
+    const std::string id = std::string("v").append(std::to_string(v));
+    expected[id] = {id, "LR", "delta rewrite of " + id};
+    CommitOne(path_, expected[id]);
+    const SuperblockSlot slot = CommittedSlot(path_);
+    EXPECT_EQ(slot.version, kCheckpointDeltaVersion);
+    EXPECT_EQ(slot.vehicle_count, static_cast<uint32_t>(v - 9));
+    ExpectManifestHolds(LoadFresh(path_), expected);
+  }
+
+  // The fifth distinct vehicle crosses the boundary: a full index again.
+  expected["v14"] = {"v14", "LR", "compacting rewrite"};
+  EXPECT_EQ(CommitOne(path_, expected["v14"]), 6u);
+  const SuperblockSlot compacted = CommittedSlot(path_);
+  EXPECT_EQ(compacted.version, kCheckpointVersion);
+  EXPECT_EQ(compacted.vehicle_count, 16u);
+  EXPECT_EQ(compacted.index_size, base.index_size);  // same names, sizes
+  ExpectManifestHolds(LoadFresh(path_), expected);
+
+  // The next commit is a one-entry delta over the compacted index.
+  expected["v25"] = {"v25", "RF", "after compaction"};
+  EXPECT_EQ(CommitOne(path_, expected["v25"]), 7u);
+  const SuperblockSlot next = CommittedSlot(path_);
+  EXPECT_EQ(next.version, kCheckpointDeltaVersion);
+  EXPECT_EQ(next.vehicle_count, 1u);
+  const std::string bytes = ReadFileBytes(path_);
+  const IndexRef named =
+      DecodeDeltaIndexHeader(
+          AsBytes(bytes).subspan(next.index_offset, next.index_size),
+          next.index_offset)
+          .ValueOrDie();
+  EXPECT_EQ(named.offset, compacted.index_offset);
+  EXPECT_EQ(named.size, compacted.index_size);
+  EXPECT_EQ(named.crc32, compacted.index_crc32);
+  EXPECT_EQ(named.count, 16u);
+  ExpectManifestHolds(LoadFresh(path_), expected);
+}
+
+TEST_F(CheckpointStoreTest, OlderBuildsMergedIndexCommitStillLoads) {
+  RecordMap expected;
+  std::vector<SegmentIndexEntry> merged;
+  uint64_t offset = kDataRegionOffset;
+  for (const VehicleRecord& record : ThreeRecords()) {
+    expected[record.vehicle_id] = record;
+    merged.push_back({record.vehicle_id, record.model_name, offset,
+                      record.payload.size(), Crc32(record.payload)});
+    offset += record.payload.size();
+  }
+  ASSERT_TRUE(SaveAllFresh(path_, expected));
+
+  // Generation 2 as builds before delta indexes committed it: the new
+  // segment, then a merged full index, then slot B as a version-1 slot.
+  std::string bytes = ReadFileBytes(path_);
+  const VehicleRecord rewrite{"truck-c", "RF", "rewritten by an older build"};
+  merged[2].segment_offset = bytes.size();
+  merged[2].payload_size = rewrite.payload.size();
+  merged[2].payload_crc32 = Crc32(rewrite.payload);
+  bytes += rewrite.payload;
+  const std::string index = EncodeSegmentIndex(merged);
+  SuperblockSlot slot;
+  slot.vehicle_count = 3;
+  slot.generation = 2;
+  slot.index_offset = bytes.size();
+  slot.index_size = index.size();
+  slot.index_crc32 = Crc32(index);
+  slot.file_used = bytes.size() + index.size();
+  bytes += index;
+  bytes.replace(kSuperblockSlotBytes, kSuperblockSlotBytes,
+                EncodeSuperblockSlot(slot));
+  WriteFileBytes(path_, bytes);
+  expected["truck-c"] = rewrite;
+
+  EXPECT_EQ(LoadFresh(path_).generation, 2u);
+  ExpectManifestHolds(LoadFresh(path_), expected);
+
+  // A delta commit builds on that version-1 generation.
+  expected["truck-a"] = {"truck-a", "BL", "delta over the older index"};
+  EXPECT_EQ(CommitOne(path_, expected["truck-a"]), 3u);
+  EXPECT_EQ(CommittedSlot(path_).version, kCheckpointDeltaVersion);
+  ExpectManifestHolds(LoadFresh(path_), expected);
 }
 
 // --------------------------------------------------------------------------
@@ -283,6 +514,46 @@ TEST_P(TornRewriteTest, FailedSingleVehicleRewriteLeavesOldGenerationIntact) {
   }
 }
 
+TEST_P(TornRewriteTest, FailedCompactionLeavesOldGenerationIntact) {
+  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  // Four vehicles allow a delta of ceil(sqrt(4)) = 2 entries: two delta
+  // commits, then the third distinct vehicle's commit compacts.
+  RecordMap expected;
+  for (const VehicleRecord& record : ThreeRecords()) {
+    expected[record.vehicle_id] = record;
+  }
+  expected["truck-d"] = {"truck-d", "BL", "d"};
+  ASSERT_TRUE(SaveAllFresh(path_, expected));
+  expected["truck-a"] = {"truck-a", "BL", "first delta"};
+  expected["truck-b"] = {"truck-b", "LR", "second delta"};
+  ASSERT_EQ(CommitOne(path_, expected["truck-a"]), 2u);
+  ASSERT_EQ(CommitOne(path_, expected["truck-b"]), 3u);
+  ASSERT_EQ(CommittedSlot(path_).version, kCheckpointDeltaVersion);
+  const std::string before = ReadFileBytes(path_);
+
+  const VehicleRecord compacting{"truck-c", "RF", "torn compaction"};
+  auto store = CheckpointStore::Open(path_).ValueOrDie();
+  ASSERT_TRUE(failpoints::Arm(GetParam()).ok());
+  Status failed = store->SaveVehicle(compacting);
+  if (failed.ok()) failed = store->Commit().status();
+  failpoints::DisarmAll();
+  EXPECT_FALSE(failed.ok()) << GetParam();
+
+  const std::string after = ReadFileBytes(path_);
+  ASSERT_GE(after.size(), before.size());
+  EXPECT_EQ(after.substr(0, kDataRegionOffset),
+            before.substr(0, kDataRegionOffset));
+  const CheckpointManifest manifest = LoadFresh(path_);
+  EXPECT_EQ(manifest.generation, 3u);
+  ExpectManifestHolds(manifest, expected);
+
+  // With the fault gone the same commit goes through, as a compaction.
+  expected["truck-c"] = compacting;
+  EXPECT_EQ(CommitOne(path_, compacting), 4u);
+  EXPECT_EQ(CommittedSlot(path_).version, kCheckpointVersion);
+  ExpectManifestHolds(LoadFresh(path_), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(StorageSites, TornRewriteTest,
                          ::testing::Values("storage.checkpoint.segment_write",
                                            "storage.checkpoint.commit",
@@ -293,11 +564,6 @@ INSTANTIATE_TEST_SUITE_P(StorageSites, TornRewriteTest,
 // or fail with a clean Status — DecodeSuperblockSlot/DecodeSegmentIndex are
 // pure span->struct functions, so this hammers them without a filesystem.
 // --------------------------------------------------------------------------
-
-std::span<const uint8_t> AsBytes(const std::string& s) {
-  return std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
 
 TEST(CheckpointFuzzTest, MutatedSuperblocksNeverCrash) {
   SuperblockSlot slot;
@@ -376,6 +642,113 @@ TEST(CheckpointFuzzTest, MutatedIndexesNeverCrashAndNeverOverAllocate) {
                 .status()
                 .code(),
             StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFuzzTest, MutatedDeltaHeadersNeverCrashAndNeverOverAllocate) {
+  const IndexRef base{kDataRegionOffset + 400, 96, 0xfeedfaceu, 4};
+  const uint64_t base_limit = kDataRegionOffset + 496;
+  const std::string valid = EncodeDeltaIndexHeader(base);
+  ASSERT_EQ(valid.size(), kDeltaIndexHeaderBytes);
+  const IndexRef decoded =
+      DecodeDeltaIndexHeader(AsBytes(valid), base_limit).ValueOrDie();
+  EXPECT_EQ(decoded.offset, base.offset);
+  EXPECT_EQ(decoded.size, base.size);
+  EXPECT_EQ(decoded.crc32, base.crc32);
+  EXPECT_EQ(decoded.count, base.count);
+
+  Rng rng(20261017);
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutated = valid;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(uint64_t{6}));
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos =
+          static_cast<size_t>(rng.UniformInt(uint64_t{mutated.size()}));
+      mutated[pos] = static_cast<char>(rng.UniformInt(uint64_t{256}));
+    }
+    const auto result = DecodeDeltaIndexHeader(AsBytes(mutated), base_limit);
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+      continue;
+    }
+    // Whatever decodes names a base inside the data region that can hold
+    // its count, so decoding that base never over-allocates.
+    const IndexRef& named = result.ValueOrDie();
+    EXPECT_GE(named.offset, kDataRegionOffset);
+    EXPECT_LE(named.offset + named.size, base_limit);
+    EXPECT_LE(uint64_t{named.count} * kMinIndexEntryBytes, named.size);
+  }
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_EQ(DecodeDeltaIndexHeader(AsBytes(valid.substr(0, cut)), base_limit)
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss);
+  }
+  // A base past the delta block, or promising more entries than its bytes
+  // hold, is rejected.
+  EXPECT_EQ(DecodeDeltaIndexHeader(AsBytes(valid), base_limit - 1)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  const IndexRef overfull{kDataRegionOffset, 96, 0, 1'000'000};
+  EXPECT_EQ(DecodeDeltaIndexHeader(AsBytes(EncodeDeltaIndexHeader(overfull)),
+                                   base_limit)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+
+  // A version-2 slot must leave room for the delta header.
+  SuperblockSlot slot;
+  slot.version = kCheckpointDeltaVersion;
+  slot.vehicle_count = 1;
+  slot.generation = 2;
+  slot.index_offset = 500;
+  slot.index_size = kDeltaIndexHeaderBytes + kMinIndexEntryBytes;
+  slot.file_used = 500 + slot.index_size;
+  EXPECT_EQ(DecodeSuperblockSlot(AsBytes(EncodeSuperblockSlot(slot)))
+                .ValueOrDie()
+                .version,
+            kCheckpointDeltaVersion);
+  slot.index_size -= 1;
+  EXPECT_EQ(DecodeSuperblockSlot(AsBytes(EncodeSuperblockSlot(slot)))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+/// The bytewise reflected CRC-32 loop, the reference Crc32 must match.
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointFuzzTest, Crc32MatchesCheckValueAndBytewiseReference) {
+  EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+
+  Rng rng(20261018);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(rng.UniformInt(uint64_t{256}));
+  }
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length <= 64; ++length) lengths.push_back(length);
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(static_cast<size_t>(rng.UniformInt(uint64_t{4097})));
+  }
+  lengths.push_back(4096);
+  for (size_t length : lengths) {
+    for (size_t align = 0; align < 8; ++align) {
+      const std::span<const uint8_t> data(buffer.data() + align, length);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "length " << length << " alignment " << align;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Legacy-to-segmented checkpoint migration compat suite (ISSUE 10):
 // a fleet saved in the legacy monolithic text format and re-saved through
 // the segmented store must forecast bit-identically, lazy loads must
-// materialize on first touch only, and re-saving a lazily loaded fleet
-// must reproduce the checkpoint byte-for-byte without parsing a model.
+// materialize on first touch only, re-saving a lazily loaded fleet must
+// reproduce the checkpoint byte-for-byte without parsing a model, and
+// single-vehicle saves (delta commits and their compaction) must restore
+// bit-identical forecasts.
 
 #include <gtest/gtest.h>
 
@@ -88,9 +90,9 @@ class MigrationTest : public ::testing::Test {
     return scheduler;
   }
 
-  /// A fresh scheduler with the same registered vehicles and data but no
-  /// trained models, ready to LoadCheckpoint.
-  FleetScheduler FreshFleet() {
+  /// A fresh scheduler with the same registered vehicles and `days` of
+  /// their data but no trained models, ready to LoadCheckpoint.
+  FleetScheduler FreshFleet(int days = 600) {
     FleetScheduler scheduler(FastOptions());
     for (int v = 0; v < 3; ++v) {
       const std::string id = "v" + std::to_string(v);
@@ -98,7 +100,7 @@ class MigrationTest : public ::testing::Test {
       EXPECT_TRUE(
           scheduler
               .IngestSeries(id, SimulatedVehicle(static_cast<uint64_t>(v) + 1,
-                                                 600))
+                                                 days))
               .ok());
     }
     return scheduler;
@@ -217,6 +219,45 @@ TEST_F(MigrationTest, CorruptSegmentSurfacesAtForecastNotLoad) {
   // is first touched, while its siblings keep forecasting.
   EXPECT_EQ(lazy.Forecast("v0").status().code(), StatusCode::kDataLoss);
   EXPECT_TRUE(lazy.Forecast("v1").ok());
+}
+
+TEST_F(MigrationTest, VehicleSavesAcrossACompactionRestoreBitIdentically) {
+  TrainedFleet();
+  // Longer histories retrain every vehicle to new model bytes.
+  FleetScheduler retrained = FreshFleet(700);
+  ASSERT_TRUE(retrained.TrainAll().ok());
+  // Three vehicles allow a delta of ceil(sqrt(3)) = 2 entries: v0 and v1
+  // commit as deltas, v2 compacts, and v0 again is a delta over the
+  // compacted index.
+  for (const char* id : {"v0", "v1", "v2", "v0"}) {
+    ASSERT_TRUE(retrained.SaveVehicleCheckpoint(segmented_path_, id).ok())
+        << id;
+  }
+  const storage::CheckpointManifest manifest =
+      storage::CheckpointStore::Open(segmented_path_)
+          .ValueOrDie()
+          ->Load()
+          .ValueOrDie();
+  EXPECT_EQ(manifest.generation, 5u);
+
+  FleetScheduler restored = FreshFleet(700);
+  ASSERT_TRUE(restored.LoadCheckpoint(segmented_path_).ok());
+  const std::vector<MaintenanceForecast> want =
+      retrained.FleetForecast().ValueOrDie();
+  const std::vector<MaintenanceForecast> got =
+      restored.FleetForecast().ValueOrDie();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].vehicle_id, want[i].vehicle_id);
+    EXPECT_EQ(got[i].model_name, want[i].model_name);
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(got[i].days_left, want[i].days_left) << want[i].vehicle_id;
+    EXPECT_EQ(got[i].usage_seconds_left, want[i].usage_seconds_left)
+        << want[i].vehicle_id;
+    EXPECT_EQ(got[i].predicted_date.day_number(),
+              want[i].predicted_date.day_number())
+        << want[i].vehicle_id;
+  }
 }
 
 }  // namespace
