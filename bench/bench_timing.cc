@@ -130,13 +130,13 @@ void RegisterAll() {
 }
 
 // ---------------------------------------------------------------------------
-// Binned-vs-row grid-search sweep (docs/binned-training.md): fit the same
-// candidate grid on both training cores, verify the serialized models are
-// byte-identical, and report the train-time ratio. The binned side shares
-// one BinningCache across all candidates, exactly as the scheduler's grid
-// search does, so the measured delta includes the bin-once-reuse-everywhere
-// effect and not just the per-access gap. Emits a JSON record (also written
-// to NEXTMAINT_BENCH_JSON) and exits non-zero on any byte divergence.
+// Binning-cache grid-search sweep (docs/binned-training.md): fit the same
+// candidate grid twice — once with no cache, so every fit bins its own
+// matrix, and once sharing one BinningCache across all candidates, exactly
+// as the scheduler's grid search does — verify the serialized models are
+// byte-identical, and report the train-time ratio. Emits a JSON record
+// (also written to NEXTMAINT_BENCH_JSON) and exits non-zero on any byte
+// divergence.
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -169,22 +169,19 @@ std::vector<GridCandidate> SweepGrid() {
   return grid;
 }
 
-/// Fits every grid candidate on `core`; returns serialized model bytes per
-/// candidate (empty on failure) and the total fit wall time.
-std::vector<std::string> FitGridOnCore(const nextmaint::ml::Dataset& data,
-                                       const std::vector<GridCandidate>& grid,
-                                       nextmaint::ml::TreeCore core,
-                                       double* seconds) {
-  nextmaint::ml::TrainingBackend backend;
-  backend.core = core;
-  if (core == nextmaint::ml::TreeCore::kBinned) {
-    backend.binning_cache = std::make_shared<nextmaint::ml::BinningCache>();
-  }
+/// Fits every grid candidate, sharing `cache` when non-null; returns the
+/// serialized model bytes per candidate (empty on failure) and the total
+/// fit wall time.
+std::vector<std::string> FitGrid(
+    const nextmaint::ml::Dataset& data,
+    const std::vector<GridCandidate>& grid,
+    const std::shared_ptr<nextmaint::ml::BinningCache>& cache,
+    double* seconds) {
   std::vector<std::string> models;
   const auto start = std::chrono::steady_clock::now();
   for (const GridCandidate& candidate : grid) {
     auto model = nextmaint::ml::MakeRegressor(candidate.algorithm,
-                                              candidate.params, backend)
+                                              candidate.params, cache)
                      .MoveValueOrDie();
     if (!model->Fit(data).ok()) return {};
     std::ostringstream out;
@@ -195,33 +192,34 @@ std::vector<std::string> FitGridOnCore(const nextmaint::ml::Dataset& data,
   return models;
 }
 
-int RunBinnedVsRowSweep() {
+int RunBinningCacheSweep() {
   const nextmaint::ml::Dataset data = MakeTrainingData(6);
   const std::vector<GridCandidate> grid = SweepGrid();
 
-  double row_seconds = 0.0;
-  double binned_seconds = 0.0;
-  const std::vector<std::string> row_models = FitGridOnCore(
-      data, grid, nextmaint::ml::TreeCore::kRowOriented, &row_seconds);
-  const std::vector<std::string> binned_models = FitGridOnCore(
-      data, grid, nextmaint::ml::TreeCore::kBinned, &binned_seconds);
-  if (row_models.empty() || binned_models.empty()) {
+  double uncached_seconds = 0.0;
+  double cached_seconds = 0.0;
+  const std::vector<std::string> uncached_models =
+      FitGrid(data, grid, nullptr, &uncached_seconds);
+  const std::vector<std::string> cached_models =
+      FitGrid(data, grid, std::make_shared<nextmaint::ml::BinningCache>(),
+              &cached_seconds);
+  if (uncached_models.empty() || cached_models.empty()) {
     std::fprintf(stderr, "grid-search sweep failed to train\n");
     return 1;
   }
-  const bool identical = row_models == binned_models;
+  const bool identical = uncached_models == cached_models;
   const double speedup =
-      binned_seconds > 0.0 ? row_seconds / binned_seconds : 0.0;
+      cached_seconds > 0.0 ? uncached_seconds / cached_seconds : 0.0;
 
   char json[512];
   std::snprintf(
       json, sizeof(json),
-      "{\"bench\":\"timing_binned_vs_row\",\"schema\":1,\"candidates\":%zu,"
-      "\"rows\":%zu,\"features\":%zu,\"row_seconds\":%.6f,"
-      "\"binned_seconds\":%.6f,\"speedup\":%.2f,"
-      "\"models_identical\":%s}",
-      grid.size(), data.num_rows(), data.num_features(), row_seconds,
-      binned_seconds, speedup, identical ? "true" : "false");
+      "{\"bench\":\"timing_binning_cache\",\"schema\":1,"
+      "\"candidates\":%zu,\"rows\":%zu,\"features\":%zu,"
+      "\"uncached_seconds\":%.6f,\"cached_seconds\":%.6f,"
+      "\"speedup\":%.2f,\"models_identical\":%s}",
+      grid.size(), data.num_rows(), data.num_features(), uncached_seconds,
+      cached_seconds, speedup, identical ? "true" : "false");
   std::printf("%s\n", json);
 
   if (const char* path = std::getenv("NEXTMAINT_BENCH_JSON")) {
@@ -238,8 +236,8 @@ int RunBinnedVsRowSweep() {
 
   if (!identical) {
     std::fprintf(stderr,
-                 "binned and row-oriented cores produced different model "
-                 "bytes — the shared-grower bit-identity contract broke\n");
+                 "cached and uncached binning produced different model "
+                 "bytes — the shared-cache bit-identity contract broke\n");
     return 1;
   }
   return 0;
@@ -257,5 +255,5 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
   }
   benchmark::Shutdown();
-  return RunBinnedVsRowSweep();
+  return RunBinningCacheSweep();
 }

@@ -87,7 +87,7 @@ Result<std::unique_ptr<ml::Regressor>> TrainUnifiedModel(
   }
   NM_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
                       ml::MakeRegressor(algorithm, options.model_params,
-                                        options.backend));
+                                        options.binning_cache));
   NM_RETURN_NOT_OK(model->Fit(merged).WithContext("Model_Uni " + algorithm));
   return model;
 }
@@ -113,7 +113,7 @@ Result<SimilarityModel> TrainSimilarityModel(
                                              candidates, measure));
   NM_ASSIGN_OR_RETURN(out.model,
                       ml::MakeRegressor(algorithm, options.model_params,
-                                        options.backend));
+                                        options.binning_cache));
   NM_RETURN_NOT_OK(out.model->Fit(corpus[out.match.index].dataset)
                        .WithContext("Model_Sim " + algorithm + " on " +
                                     out.match.id));

@@ -47,9 +47,9 @@ struct ColdStartOptions {
   /// not recognise are ignored, so one map can serve several algorithms).
   ml::ParamMap model_params;
   uint64_t seed = 77;
-  /// Tree-learner training backend (core selection + optional shared
-  /// binning cache, e.g. the scheduler's unified-corpus cache).
-  ml::TrainingBackend backend{};
+  /// Optional binning cache shared by the tree learners (e.g. the
+  /// scheduler's unified-corpus cache).
+  std::shared_ptr<ml::BinningCache> binning_cache;
 };
 
 /// First-cycle training material extracted from one old vehicle.

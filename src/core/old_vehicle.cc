@@ -83,7 +83,7 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
     ml::ParamMap params;
     if (options.tune) {
       NM_ASSIGN_OR_RETURN(ml::RegressorFactory factory,
-                          ml::MakeFactory(algorithm, options.backend));
+                          ml::MakeFactory(algorithm, options.binning_cache));
       const ml::ParamGrid grid =
           ml::DefaultGridFor(algorithm, options.grid_budget);
       ml::GridSearchOptions search_options;
@@ -102,7 +102,7 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
       eval.best_params = params;
     }
     NM_ASSIGN_OR_RETURN(
-        model, ml::MakeRegressor(algorithm, params, options.backend));
+        model, ml::MakeRegressor(algorithm, params, options.binning_cache));
     NM_RETURN_NOT_OK(model->Fit(train_data).WithContext(algorithm));
   }
   eval.train_seconds = NowSeconds() - t_start;

@@ -50,10 +50,10 @@ struct OldVehicleOptions {
   const std::vector<double>* context = nullptr;
   int context_forecast_days = 0;
   uint64_t seed = 2020;
-  /// Tree-learner training backend (core selection + optional shared
-  /// binning cache). With a cache attached, every grid-search candidate and
-  /// CV fold on the same matrix bins the data once.
-  ml::TrainingBackend backend{};
+  /// Optional binning cache shared by the tree learners. With a cache
+  /// attached, every grid-search candidate and CV fold on the same matrix
+  /// bins the data once.
+  std::shared_ptr<ml::BinningCache> binning_cache;
 };
 
 /// Outcome of evaluating one algorithm on one vehicle.

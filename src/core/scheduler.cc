@@ -28,13 +28,9 @@ FleetScheduler::FleetScheduler(SchedulerOptions options)
       unified_binning_cache_(std::make_shared<ml::BinningCache>()) {
   options_.selection.window = options_.window;
   options_.cold_start.window = options_.window;
-  // One tree core fleet-wide; every cold-start fit shares one binning
-  // cache (per-vehicle caches attach in TrainOneVehicle).
-  options_.selection.backend.core = options_.tree_core;
-  options_.cold_start.backend.core = options_.tree_core;
-  if (options_.tree_core == ml::TreeCore::kBinned) {
-    options_.cold_start.backend.binning_cache = unified_binning_cache_;
-  }
+  // Every cold-start fit shares one binning cache (per-vehicle caches
+  // attach in TrainOneVehicle).
+  options_.cold_start.binning_cache = unified_binning_cache_;
 }
 
 Status FleetScheduler::RegisterVehicle(const std::string& id, Date first_day) {
@@ -239,7 +235,7 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
     OldVehicleOptions selection_options = options_.selection;
     if (auto cache_it = binning_caches_.find(id);
         cache_it != binning_caches_.end()) {
-      selection_options.backend.binning_cache = cache_it->second;
+      selection_options.binning_cache = cache_it->second;
     }
     std::string chosen = "BL";
     Result<ModelSelectionResult> selection = [&] {
@@ -289,7 +285,7 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
                               dataset_options, resampling));
     NM_ASSIGN_OR_RETURN(
         std::unique_ptr<ml::Regressor> model,
-        ml::MakeRegressor(chosen, {}, selection_options.backend));
+        ml::MakeRegressor(chosen, {}, selection_options.binning_cache));
     NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
     state.model = std::move(model);
     state.model_name = chosen;
@@ -358,8 +354,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
     }
     // Pre-create each vehicle's binning cache here, in the serial pass:
     // the training fan-out below only ever reads binning_caches_.
-    if (options_.tree_core == ml::TreeCore::kBinned &&
-        binning_caches_.find(id) == binning_caches_.end()) {
+    if (binning_caches_.find(id) == binning_caches_.end()) {
       binning_caches_.emplace(id, std::make_shared<ml::BinningCache>());
     }
     work.emplace_back(&it->first, &it->second);

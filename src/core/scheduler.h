@@ -100,12 +100,6 @@ struct SchedulerOptions {
   /// whole fleet operation (option-validation errors such as a negative
   /// num_threads always fail fast). See docs/fault-injection.md.
   bool strict = false;
-  /// Tree-training core for every tree learner the scheduler trains
-  /// (selection candidates, refits, cold-start models). Both cores produce
-  /// byte-identical models; kRowOriented exists for differential testing.
-  /// Propagated into `selection` and `cold_start` by the constructor. See
-  /// docs/binned-training.md.
-  ml::TreeCore tree_core = ml::TreeCore::kBinned;
   /// Warm-start refresh: the serving engine's refresh pass resumes
   /// eligible dirty vehicles' ensemble models (WarmStartVehicle) instead
   /// of retraining them from scratch, trading an exact retrain for an
@@ -365,15 +359,15 @@ class FleetScheduler {
 
   SchedulerOptions options_;
   std::map<std::string, VehicleState> vehicles_;
-  /// Per-vehicle bin-mapper caches (binned core), created in TrainVehicles'
-  /// serial validation pass (the training fan-out only reads the map) and
-  /// dropped whenever new data for the vehicle arrives — keys are
-  /// content-addressed, so a stale entry could never be hit again anyway;
-  /// eviction just bounds memory.
+  /// Per-vehicle binning caches, created in TrainVehicles' serial
+  /// validation pass (the training fan-out only reads the map) and dropped
+  /// whenever new data for the vehicle arrives — keys are content-addressed,
+  /// so a stale entry could never be hit again anyway; eviction just bounds
+  /// memory.
   std::map<std::string, std::shared_ptr<ml::BinningCache>> binning_caches_;
   /// Cache behind every cold-start fit; lives in
-  /// options_.cold_start.backend (attached by the constructor), kept here
-  /// for invalidation and the UnifiedBinningCache accessor.
+  /// options_.cold_start.binning_cache (attached by the constructor), kept
+  /// here for invalidation and the UnifiedBinningCache accessor.
   std::shared_ptr<ml::BinningCache> unified_binning_cache_;
   /// Quarantines recorded by the last TrainAll.
   DegradationReport train_degradation_;

@@ -82,8 +82,8 @@ LintConfig LintConfig::ProjectDefault() {
   config.policy.naked_new_allowlist = {"src/common/status.cc",
                                        "src/common/telemetry.cc"};
   // The binned training kernels must never fall back to row-oriented
-  // storage; the binned/row cores share this code, so a row access here
-  // would silently reintroduce the access pattern the refactor removed.
+  // storage: a row access here would silently reintroduce the access
+  // pattern the columnar bins removed.
   config.policy.row_iteration_paths = {"src/ml/histogram.h",
                                        "src/ml/histogram.cc"};
   // Raw std::mutex may only appear under common/ (in practice: inside the

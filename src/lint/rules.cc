@@ -335,8 +335,8 @@ std::vector<Finding> CheckRowIteration(const std::string& path,
     findings.push_back(
         {path, line, Rule::kRowIteration,
          StrFormat("histogram kernels are columnar; include "
-                   "ml/binned_dataset.h and consume a BinSource instead of "
-                   "%s",
+                   "ml/binned_dataset.h and consume a BinnedDataset "
+                   "instead of %s",
                    include.c_str())});
   }
   static const std::regex* const kRowAccess =
@@ -350,7 +350,7 @@ std::vector<Finding> CheckRowIteration(const std::string& path,
     findings.push_back(
         {path, line, Rule::kRowIteration,
          StrFormat("raw %s() access in a histogram kernel; go through the "
-                   "BinSource (BinnedDataset or OnTheFlyBins) instead",
+                   "BinnedDataset instead",
                    it->str(1).c_str())});
   }
   return findings;

@@ -123,6 +123,14 @@ uint64_t FingerprintMatrix(const Matrix& x) {
   return hash;
 }
 
+std::shared_ptr<const PreBinned> ComputeBinning(const Matrix& x, int max_bins,
+                                                int num_threads) {
+  auto binning = std::make_shared<PreBinned>();
+  binning->mapper.Compute(x, max_bins);
+  binning->binned.Build(x, binning->mapper, num_threads);
+  return binning;
+}
+
 }  // namespace
 
 bool BinningCache::Key::operator<(const Key& other) const {
@@ -145,9 +153,8 @@ std::shared_ptr<const PreBinned> BinningCache::GetOrCompute(const Matrix& x,
     return it->second;
   }
   if (entries_.size() >= kMaxEntries) entries_.clear();
-  auto entry = std::make_shared<PreBinned>();
-  entry->mapper.Compute(x, max_bins);
-  entry->binned.Build(x, entry->mapper, num_threads);
+  std::shared_ptr<const PreBinned> entry =
+      ComputeBinning(x, max_bins, num_threads);
   entries_.emplace(key, entry);
   return entry;
 }
@@ -164,6 +171,13 @@ BinningCache::Stats BinningCache::stats() const {
 void BinningCache::Clear() {
   MutexLock lock(mutex_);
   entries_.clear();
+}
+
+std::shared_ptr<const PreBinned> PrepareBinning(const Matrix& x, int max_bins,
+                                                int num_threads,
+                                                BinningCache* cache) {
+  return cache != nullptr ? cache->GetOrCompute(x, max_bins, num_threads)
+                          : ComputeBinning(x, max_bins, num_threads);
 }
 
 }  // namespace ml

@@ -21,19 +21,6 @@
 namespace nextmaint {
 namespace ml {
 
-/// Which tree-training core a learner runs on. Both cores execute the same
-/// histogram split arithmetic (ml/histogram.h) and produce byte-identical
-/// models and forecasts; they differ only in how feature bins reach the
-/// kernels. tests/ml/binned_equality_test.cc pins the equality.
-enum class TreeCore {
-  /// Reference core: every bin is resolved per access by binary search over
-  /// the raw row-major matrix; nothing is materialized or cached.
-  kRowOriented,
-  /// Production core: contiguous per-feature bin columns materialized once
-  /// and reusable across fits through a BinningCache.
-  kBinned,
-};
-
 /// Quantile binning of a feature matrix; shared by training and ablation
 /// benches (bin-count sensitivity).
 class BinMapper {
@@ -112,19 +99,6 @@ class BinnedDataset {
   size_t num_rows_ = 0;
 };
 
-/// Bin source for the row-oriented reference core: resolves each (feature,
-/// row) bin on the fly by binary search into the raw matrix. Same bin
-/// values as BinnedDataset built from the same mapper, without any
-/// materialized state — the differential-testing counterpart of the
-/// columnar core.
-struct OnTheFlyBins {
-  const Matrix* x = nullptr;
-  const BinMapper* mapper = nullptr;
-  uint32_t Bin(size_t feature, size_t row) const {
-    return mapper->BinOf(feature, (*x)(row, feature));
-  }
-};
-
 /// One fully prepared binning of a training matrix: the mapper plus the
 /// materialized columns it produced.
 struct PreBinned {
@@ -178,14 +152,13 @@ class BinningCache {
   size_t hits_ GUARDED_BY(mutex_) = 0;
 };
 
-/// How the tree learners (Tree/RF/XGB) execute training: which core runs
-/// the histogram kernels and, optionally, a shared BinningCache for
-/// cross-fit reuse. Carried through ml::MakeRegressor/MakeFactory overloads
-/// and the core-layer option structs; a null cache simply disables reuse.
-struct TrainingBackend {
-  TreeCore core = TreeCore::kBinned;
-  std::shared_ptr<BinningCache> binning_cache;
-};
+/// The binning a tree fit trains on: the cache's shared entry for
+/// (x, max_bins) when `cache` is non-null, a freshly computed one
+/// otherwise. Both are built the same way, so the choice never changes a
+/// model byte.
+std::shared_ptr<const PreBinned> PrepareBinning(const Matrix& x, int max_bins,
+                                                int num_threads,
+                                                BinningCache* cache);
 
 }  // namespace ml
 }  // namespace nextmaint

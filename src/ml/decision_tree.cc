@@ -32,6 +32,19 @@ Status DecisionTreeRegressor::FitImpl(const Dataset& train) {
 
 Status DecisionTreeRegressor::FitIndices(const Dataset& train,
                                          const std::vector<size_t>& indices) {
+  // Validate before binning: a rejected fit must not touch the cache.
+  NM_RETURN_NOT_OK(ValidateFit(train, indices));
+  // The binning always covers the full training matrix (not the bootstrap
+  // subset), so every tree of a forest sees the same bin boundaries.
+  const std::shared_ptr<const PreBinned> binning =
+      PrepareBinning(train.x(), options_.max_bins, /*num_threads=*/1,
+                     options_.binning_cache.get());
+  Grow(train, *binning, indices);
+  return Status::OK();
+}
+
+Status DecisionTreeRegressor::ValidateFit(
+    const Dataset& train, const std::vector<size_t>& indices) {
   nodes_.clear();
   if (train.empty() || indices.empty()) {
     return Status::InvalidArgument("cannot fit a tree on an empty dataset");
@@ -39,40 +52,29 @@ Status DecisionTreeRegressor::FitIndices(const Dataset& train,
   if (options_.max_bins < 2 || options_.max_bins > 65535) {
     return Status::InvalidArgument("tree requires 2 <= max_bins <= 65535");
   }
-  // The mapper always covers the full training matrix (not the bootstrap
-  // subset), so every tree of a forest — and both tree cores — see the same
-  // bin boundaries.
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    const std::shared_ptr<const PreBinned> cached =
-        options_.binning_cache->GetOrCompute(train.x(), options_.max_bins);
-    return FitBinned(train, cached->mapper, &cached->binned, indices);
-  }
-  BinMapper mapper;
-  mapper.Compute(train.x(), options_.max_bins);
-  if (options_.core == TreeCore::kBinned) {
-    BinnedDataset binned;
-    binned.Build(train.x(), mapper);
-    return FitBinned(train, mapper, &binned, indices);
-  }
-  return FitBinned(train, mapper, nullptr, indices);
-}
-
-Status DecisionTreeRegressor::FitBinned(const Dataset& train,
-                                        const BinMapper& mapper,
-                                        const BinnedDataset* binned,
-                                        const std::vector<size_t>& indices) {
-  nodes_.clear();
-  if (train.empty() || indices.empty()) {
-    return Status::InvalidArgument("cannot fit a tree on an empty dataset");
-  }
   if (!train.x().AllFinite()) {
     return Status::InvalidArgument("tree features contain non-finite values");
   }
   if (options_.min_samples_leaf < 1) {
     return Status::InvalidArgument("min_samples_leaf must be >= 1");
   }
+  return Status::OK();
+}
+
+Status DecisionTreeRegressor::FitBinned(const Dataset& train,
+                                        const PreBinned& binning,
+                                        const std::vector<size_t>& indices) {
+  NM_RETURN_NOT_OK(ValidateFit(train, indices));
+  Grow(train, binning, indices);
+  return Status::OK();
+}
+
+void DecisionTreeRegressor::Grow(const Dataset& train,
+                                 const PreBinned& binning,
+                                 const std::vector<size_t>& indices) {
   num_features_ = train.num_features();
 
+  const BinMapper& mapper = binning.mapper;
   const HistogramLayout layout(mapper);
   GrowSpec spec;
   spec.depth_limited = options_.max_depth >= 0;
@@ -88,18 +90,13 @@ Status DecisionTreeRegressor::FitBinned(const Dataset& train,
 
   DataPartition partition;
   partition.Reset(indices);
-  const std::vector<GrowNode> grown =
-      binned != nullptr
-          ? GrowHistTree(*binned, mapper, layout, train.y(), &partition,
-                         spec)
-          : GrowHistTree(OnTheFlyBins{&train.x(), &mapper}, mapper, layout,
-                         train.y(), &partition, spec);
+  const std::vector<GrowNode> grown = GrowHistTree(
+      binning.binned, mapper, layout, train.y(), &partition, spec);
   nodes_.reserve(grown.size());
   for (const GrowNode& node : grown) {
     nodes_.push_back(Node{node.left, node.right, node.feature,
                           node.threshold, node.value, node.gain});
   }
-  return Status::OK();
 }
 
 Result<double> DecisionTreeRegressor::Predict(

@@ -38,10 +38,7 @@ class DecisionTreeRegressor final : public Regressor {
     /// Maximum quantile bins per feature for the histogram split search
     /// (2..65535).
     int max_bins = 256;
-    /// Which tree core executes training (byte-identical either way; see
-    /// docs/binned-training.md).
-    TreeCore core = TreeCore::kBinned;
-    /// Optional shared cache of pre-binned matrices (binned core only).
+    /// Optional shared cache of pre-binned matrices.
     std::shared_ptr<BinningCache> binning_cache;
   };
 
@@ -52,16 +49,15 @@ class DecisionTreeRegressor final : public Regressor {
   static Options OptionsFromParams(const ParamMap& params);
 
   /// Fits on the subset of `train` given by `indices` (duplicates allowed;
-  /// this is the bootstrap entry point used by the forest). Resolves the
-  /// binning per this tree's own options (core, max_bins, cache).
+  /// this is the bootstrap entry point used by the forest). Bins train.x()
+  /// per this tree's own options (max_bins, cache).
   [[nodiscard]] Status FitIndices(const Dataset& train, const std::vector<size_t>& indices);
 
-  /// Like FitIndices with the binning supplied by the caller: `mapper` must
-  /// cover train.x(), and `binned` (when non-null) must have been built from
-  /// it — the forest computes both once and shares them across trees. A null
-  /// `binned` runs the row-oriented reference core.
-  [[nodiscard]] Status FitBinned(const Dataset& train, const BinMapper& mapper,
-                                 const BinnedDataset* binned,
+  /// Like FitIndices with the binning supplied by the caller: it must have
+  /// been prepared from train.x() — the forest prepares it once and shares
+  /// it across trees.
+  [[nodiscard]] Status FitBinned(const Dataset& train,
+                                 const PreBinned& binning,
                                  const std::vector<size_t>& indices);
 
   [[nodiscard]] Result<double> Predict(std::span<const double> features) const override;
@@ -95,6 +91,13 @@ class DecisionTreeRegressor final : public Regressor {
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
 
  private:
+  /// Clears the fitted tree and checks the inputs and options of a fit.
+  [[nodiscard]] Status ValidateFit(const Dataset& train,
+                                   const std::vector<size_t>& indices);
+  /// Grows the tree on validated inputs.
+  void Grow(const Dataset& train, const PreBinned& binning,
+            const std::vector<size_t>& indices);
+
   struct Node {
     // Internal node: children indices and split definition.
     int32_t left = -1;

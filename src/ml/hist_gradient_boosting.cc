@@ -61,33 +61,13 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
   const size_t n = TrainRowCount(total_rows);
   const size_t valid_rows = total_rows - n;
 
-  // Binning: the mapper covers the full training matrix, shared by both
-  // tree cores (and cacheable across fits on the same matrix); the binned
-  // core additionally materializes columnar bins, the row-oriented core
-  // re-derives each bin per access. A warm resume goes through the same
-  // cache, so repeated resumes on one grown matrix bin it once.
-  std::shared_ptr<const PreBinned> cached;
-  BinMapper local_mapper;
-  BinnedDataset local_binned;
-  const BinMapper* mapper = nullptr;
-  const BinnedDataset* binned = nullptr;
-  if (options_.core == TreeCore::kBinned && options_.binning_cache) {
-    cached = options_.binning_cache->GetOrCompute(
-        train.x(), options_.max_bins, options_.num_threads);
-    mapper = &cached->mapper;
-    binned = &cached->binned;
-  } else {
-    local_mapper.Compute(train.x(), options_.max_bins);
-    mapper = &local_mapper;
-    if (options_.core == TreeCore::kBinned) {
-      local_binned.Build(train.x(), *mapper, options_.num_threads);
-      binned = &local_binned;
-    }
-  }
-  bins_ = *mapper;
-
-  const HistogramLayout layout(*mapper);
-  const OnTheFlyBins on_the_fly{&train.x(), mapper};
+  // Binning covers the full training matrix (holdout tail included) and is
+  // cacheable across fits on the same matrix; a warm resume goes through
+  // the same cache, so repeated resumes on one grown matrix bin it once.
+  const std::shared_ptr<const PreBinned> binning =
+      PrepareBinning(train.x(), options_.max_bins, options_.num_threads,
+                     options_.binning_cache.get());
+  const HistogramLayout layout(binning->mapper);
   GrowSpec spec;
   spec.depth_limited = options_.max_depth > 0;
   spec.max_depth = options_.max_depth;
@@ -139,11 +119,8 @@ Status HistGradientBoostingRegressor::BoostRounds(const Dataset& train,
 
     partition.Reset(n);
     const std::vector<GrowNode> grown =
-        binned != nullptr
-            ? GrowHistTree(*binned, *mapper, layout, gradients, &partition,
-                           spec)
-            : GrowHistTree(on_the_fly, *mapper, layout, gradients,
-                           &partition, spec);
+        GrowHistTree(binning->binned, binning->mapper, layout, gradients,
+                     &partition, spec);
     Tree tree;
     tree.reserve(grown.size());
     for (const GrowNode& node : grown) {

@@ -21,8 +21,8 @@
 ///   gain = GL^2/(HL+l2) + GR^2/(HR+l2) - G^2/(H+l2).
 /// For squared loss the hessian of each sample is 1, so H terms are counts.
 ///
-/// Trees are grown by the shared histogram grower (ml/histogram.h) on
-/// either tree core (ml/binned_dataset.h); both cores are bit-identical.
+/// Trees are grown by the shared histogram grower (ml/histogram.h) over the
+/// columnar bins of ml/binned_dataset.h.
 
 namespace nextmaint {
 namespace ml {
@@ -59,10 +59,7 @@ class HistGradientBoostingRegressor final : public Regressor {
     /// (ThreadPool::DefaultThreadCount()). Any value yields bit-identical
     /// models; see docs/parallelism.md.
     int num_threads = 0;
-    /// Which tree core executes training (byte-identical either way; see
-    /// docs/binned-training.md).
-    TreeCore core = TreeCore::kBinned;
-    /// Optional shared cache of pre-binned matrices (binned core only).
+    /// Optional shared cache of pre-binned matrices.
     std::shared_ptr<BinningCache> binning_cache;
   };
 
@@ -146,7 +143,6 @@ class HistGradientBoostingRegressor final : public Regressor {
   [[nodiscard]] Status BoostRounds(const Dataset& train, int rounds);
 
   Options options_;
-  BinMapper bins_;
   double base_score_ = 0.0;
   std::vector<Tree> trees_;
   std::vector<double> train_loss_;

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <ranges>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,13 +16,10 @@
 
 /// \file histogram.h
 /// Histogram-based tree growing shared by DecisionTreeRegressor,
-/// RandomForestRegressor and HistGradientBoostingRegressor. One templated
-/// grower runs for both the row-oriented reference core and the columnar
-/// binned core — the template parameter only changes where a (feature, row)
-/// bin comes from — so the two cores agree bit-for-bit by construction
-/// (tests/ml/binned_equality_test.cc).
+/// RandomForestRegressor and HistGradientBoostingRegressor: one grower over
+/// the columnar bins of a BinnedDataset (docs/binned-training.md).
 ///
-/// Kernels here consume pre-binned sources exclusively: nextmaint_lint bans
+/// Kernels here consume pre-binned columns exclusively: nextmaint_lint bans
 /// raw-matrix row iteration in this file and histogram.cc (rule
 /// row-iteration), keeping the hot path columnar.
 
@@ -104,10 +100,8 @@ class NodeHistogram {
   /// lists are the parent's, filtered to the bins its rows occupy), and
   /// `subtract` fuses in the parent-minus-sibling step: each finished
   /// feature slice is subtracted from the parent in place, turning the
-  /// parent's buffer into the larger child's histogram. BinSource provides
-  /// `uint32_t Bin(feature, row)`.
-  template <class BinSource>
-  void Fill(const BinSource& bins, const HistogramLayout& layout,
+  /// parent's buffer into the larger child's histogram.
+  void Fill(const BinnedDataset& bins, const HistogramLayout& layout,
             std::span<const uint32_t> rows, std::span<const double> values,
             NodeHistogram* parent, bool subtract) {
     Reset(layout, parent != nullptr && parent->sparse());
@@ -121,23 +115,18 @@ class NodeHistogram {
           ++count_f[bin];
         }
       };
-      if constexpr (std::is_same_v<BinSource, BinnedDataset>) {
-        // The binned fast path: hoist the column's storage pointer and the
-        // narrow/wide dispatch out of the row loop. Same rows, same order,
-        // same additions as the generic loop below.
-        if (bins.IsNarrow(f)) {
-          const uint8_t* column = bins.NarrowColumn(f);
-          accumulate([column](uint32_t row) -> uint32_t {
-            return column[row];
-          });
-        } else {
-          const uint16_t* column = bins.WideColumn(f);
-          accumulate([column](uint32_t row) -> uint32_t {
-            return column[row];
-          });
-        }
+      // Hoist the column's storage pointer and the narrow/wide dispatch
+      // out of the row loop.
+      if (bins.IsNarrow(f)) {
+        const uint8_t* column = bins.NarrowColumn(f);
+        accumulate([column](uint32_t row) -> uint32_t {
+          return column[row];
+        });
       } else {
-        accumulate([&bins, f](uint32_t row) { return bins.Bin(f, row); });
+        const uint16_t* column = bins.WideColumn(f);
+        accumulate([column](uint32_t row) -> uint32_t {
+          return column[row];
+        });
       }
       if (sparse_) ListFilledBins(layout, f, *parent);
       if (subtract) parent->SubtractFeature(layout, f, *this);
@@ -227,8 +216,7 @@ struct GrowSpec {
   size_t min_samples_split = 2;
   size_t min_samples_leaf = 1;
   /// Candidate features per split; 0 means all. The subset is drawn with a
-  /// partial Fisher-Yates from `seed`, consumed at split attempts only, so
-  /// both cores draw identical subsets.
+  /// partial Fisher-Yates from `seed`, consumed at split attempts only.
   size_t max_features = 0;
   uint64_t seed = 0;
   bool newton = false;
@@ -248,14 +236,11 @@ inline uint64_t NextRandom(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-/// The shared grower. BinSource provides `uint32_t Bin(feature, row)`:
-/// BinnedDataset streams materialized columns, OnTheFlyBins re-derives each
-/// bin from the raw value — everything else is identical between the cores.
-/// Growth is serial; callers parallelize across trees, vehicles and folds.
-template <class BinSource>
+/// The shared grower. Growth is serial; callers parallelize across trees,
+/// vehicles and folds.
 class HistTreeGrower {
  public:
-  HistTreeGrower(const BinSource& bins, const BinMapper& mapper,
+  HistTreeGrower(const BinnedDataset& bins, const BinMapper& mapper,
                  const HistogramLayout& layout, std::span<const double> values,
                  DataPartition* partition, const GrowSpec& spec)
       : bins_(bins),
@@ -358,8 +343,7 @@ class HistTreeGrower {
     NM_CHECK(count > 0);
 
     // Node aggregate from the raw values in partition-index order, not from
-    // the histogram: leaf payloads must not depend on bin layout, and the
-    // index order is shared by both cores.
+    // the histogram: leaf payloads must not depend on bin layout.
     double grad_sum = 0.0;
     for (size_t i = begin; i < end; ++i) {
       grad_sum += values_[partition_->row(i)];
@@ -473,7 +457,7 @@ class HistTreeGrower {
 
   static constexpr int kMinSparseLevels = 3;
 
-  const BinSource& bins_;
+  const BinnedDataset& bins_;
   const BinMapper& mapper_;
   const HistogramLayout& layout_;
   std::span<const double> values_;
@@ -491,15 +475,14 @@ class HistTreeGrower {
 /// (which ends up holding the leaf index ranges). `values` are the training
 /// targets (mean mode) or current gradients (Newton mode), indexed by row
 /// id. Nodes come back in preorder.
-template <class BinSource>
-std::vector<GrowNode> GrowHistTree(const BinSource& bins,
-                                   const BinMapper& mapper,
-                                   const HistogramLayout& layout,
-                                   std::span<const double> values,
-                                   DataPartition* partition,
-                                   const GrowSpec& spec) {
-  internal::HistTreeGrower<BinSource> grower(bins, mapper, layout, values,
-                                             partition, spec);
+inline std::vector<GrowNode> GrowHistTree(const BinnedDataset& bins,
+                                          const BinMapper& mapper,
+                                          const HistogramLayout& layout,
+                                          std::span<const double> values,
+                                          DataPartition* partition,
+                                          const GrowSpec& spec) {
+  internal::HistTreeGrower grower(bins, mapper, layout, values, partition,
+                                  spec);
   return grower.Grow();
 }
 

@@ -14,6 +14,9 @@
 /// replacement)". Predictions are the plain average over trees.
 
 namespace nextmaint {
+
+class Rng;
+
 namespace ml {
 
 /// Bagged ensemble of CART trees with per-split feature subsampling.
@@ -40,10 +43,7 @@ class RandomForestRegressor final : public Regressor {
     /// (2..65535). The forest computes one BinMapper over the full training
     /// matrix and shares it across every tree.
     int max_bins = 256;
-    /// Which tree core executes training (byte-identical either way; see
-    /// docs/binned-training.md).
-    TreeCore core = TreeCore::kBinned;
-    /// Optional shared cache of pre-binned matrices (binned core only).
+    /// Optional shared cache of pre-binned matrices.
     std::shared_ptr<BinningCache> binning_cache;
   };
 
@@ -105,6 +105,13 @@ class RandomForestRegressor final : public Regressor {
   [[nodiscard]] Result<std::vector<double>> PredictBatchImpl(const Matrix& x) const override;
 
  private:
+  /// The shared tree-growing loop behind FitImpl and ContinueFitImpl: draws
+  /// `num_trees` bootstrap samples and seeds from `rng` in tree order, bins
+  /// `train` once and appends the grown trees, all or none. Sets oob_mae()
+  /// from the new trees when `record_oob`, to NaN otherwise.
+  [[nodiscard]] Status GrowTrees(const Dataset& train, Rng* rng,
+                                 size_t num_trees, bool record_oob);
+
   Options options_;
   std::vector<DecisionTreeRegressor> trees_;
   double oob_mae_ = 0.0;

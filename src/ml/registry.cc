@@ -16,36 +16,7 @@ std::vector<std::string> RegisteredModelNames() {
 
 Result<std::unique_ptr<Regressor>> MakeRegressor(
     const std::string& name, const ParamMap& params,
-    const TrainingBackend& backend) {
-  if (name == "Tree") {
-    DecisionTreeRegressor::Options options =
-        DecisionTreeRegressor::OptionsFromParams(params);
-    options.core = backend.core;
-    options.binning_cache = backend.binning_cache;
-    return std::unique_ptr<Regressor>(
-        std::make_unique<DecisionTreeRegressor>(options));
-  }
-  if (name == "RF") {
-    RandomForestRegressor::Options options =
-        RandomForestRegressor::OptionsFromParams(params);
-    options.core = backend.core;
-    options.binning_cache = backend.binning_cache;
-    return std::unique_ptr<Regressor>(
-        std::make_unique<RandomForestRegressor>(options));
-  }
-  if (name == "XGB") {
-    HistGradientBoostingRegressor::Options options =
-        HistGradientBoostingRegressor::OptionsFromParams(params);
-    options.core = backend.core;
-    options.binning_cache = backend.binning_cache;
-    return std::unique_ptr<Regressor>(
-        std::make_unique<HistGradientBoostingRegressor>(options));
-  }
-  return MakeRegressor(name, params);
-}
-
-Result<std::unique_ptr<Regressor>> MakeRegressor(const std::string& name,
-                                                 const ParamMap& params) {
+    std::shared_ptr<BinningCache> binning_cache) {
   if (name == "LR") {
     return std::unique_ptr<Regressor>(std::make_unique<LinearRegression>(
         LinearRegression::OptionsFromParams(params)));
@@ -55,35 +26,36 @@ Result<std::unique_ptr<Regressor>> MakeRegressor(const std::string& name,
         std::make_unique<LinearSvr>(LinearSvr::OptionsFromParams(params)));
   }
   if (name == "Tree") {
-    return std::unique_ptr<Regressor>(std::make_unique<DecisionTreeRegressor>(
-        DecisionTreeRegressor::OptionsFromParams(params)));
+    DecisionTreeRegressor::Options options =
+        DecisionTreeRegressor::OptionsFromParams(params);
+    options.binning_cache = std::move(binning_cache);
+    return std::unique_ptr<Regressor>(
+        std::make_unique<DecisionTreeRegressor>(options));
   }
   if (name == "RF") {
-    return std::unique_ptr<Regressor>(std::make_unique<RandomForestRegressor>(
-        RandomForestRegressor::OptionsFromParams(params)));
+    RandomForestRegressor::Options options =
+        RandomForestRegressor::OptionsFromParams(params);
+    options.binning_cache = std::move(binning_cache);
+    return std::unique_ptr<Regressor>(
+        std::make_unique<RandomForestRegressor>(options));
   }
   if (name == "XGB") {
+    HistGradientBoostingRegressor::Options options =
+        HistGradientBoostingRegressor::OptionsFromParams(params);
+    options.binning_cache = std::move(binning_cache);
     return std::unique_ptr<Regressor>(
-        std::make_unique<HistGradientBoostingRegressor>(
-            HistGradientBoostingRegressor::OptionsFromParams(params)));
+        std::make_unique<HistGradientBoostingRegressor>(options));
   }
   return Status::NotFound("unknown model name: '" + name + "'");
 }
 
-Result<RegressorFactory> MakeFactory(const std::string& name) {
+Result<RegressorFactory> MakeFactory(
+    const std::string& name, std::shared_ptr<BinningCache> binning_cache) {
   // Validate eagerly so a typo fails at configuration time, not mid-search.
   NM_RETURN_NOT_OK(MakeRegressor(name).status());
-  return RegressorFactory([name](const ParamMap& params) {
+  return RegressorFactory([name, binning_cache](const ParamMap& params) {
     // Construction cannot fail for a validated name.
-    return MakeRegressor(name, params).MoveValueOrDie();
-  });
-}
-
-Result<RegressorFactory> MakeFactory(const std::string& name,
-                                     const TrainingBackend& backend) {
-  NM_RETURN_NOT_OK(MakeRegressor(name).status());
-  return RegressorFactory([name, backend](const ParamMap& params) {
-    return MakeRegressor(name, params, backend).MoveValueOrDie();
+    return MakeRegressor(name, params, binning_cache).MoveValueOrDie();
   });
 }
 

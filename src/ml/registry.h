@@ -25,26 +25,20 @@ std::vector<std::string> RegisteredModelNames();
 
 /// Builds a model by name with the given hyper-parameters (each model
 /// documents its recognised keys on its OptionsFromParams). Unknown names
-/// fail with NotFound.
-[[nodiscard]] Result<std::unique_ptr<Regressor>> MakeRegressor(const std::string& name,
-                                                 const ParamMap& params = {});
-
-/// Like the two-argument overload, but the tree learners (Tree/RF/XGB) are
-/// configured with `backend` — the training core to run and an optional
-/// shared BinningCache so repeated fits on the same matrix (grid-search
-/// candidates, serving refreshes) bin once. Non-tree models ignore it.
+/// fail with NotFound. The tree learners (Tree/RF/XGB) share
+/// `binning_cache` when it is non-null, so repeated fits on the same matrix
+/// (grid-search candidates, serving refreshes) bin once; the other models
+/// ignore it.
 [[nodiscard]] Result<std::unique_ptr<Regressor>> MakeRegressor(
-    const std::string& name, const ParamMap& params,
-    const TrainingBackend& backend);
+    const std::string& name, const ParamMap& params = {},
+    std::shared_ptr<BinningCache> binning_cache = nullptr);
 
-/// Returns a factory that builds `name` models (for GridSearchCV).
-/// The name is validated immediately.
-[[nodiscard]] Result<RegressorFactory> MakeFactory(const std::string& name);
-
-/// Factory whose models carry `backend` (see the MakeRegressor overload);
-/// every grid-search candidate then shares the same binning cache.
-[[nodiscard]] Result<RegressorFactory> MakeFactory(const std::string& name,
-                                                   const TrainingBackend& backend);
+/// Returns a factory that builds `name` models (for GridSearchCV), each
+/// carrying `binning_cache` (see MakeRegressor), so every grid-search
+/// candidate shares it. The name is validated immediately.
+[[nodiscard]] Result<RegressorFactory> MakeFactory(
+    const std::string& name,
+    std::shared_ptr<BinningCache> binning_cache = nullptr);
 
 /// The default hyper-parameter grid the paper sweeps for each model:
 ///   RF / XGB: max depth 3..50, estimators 10..1000;

@@ -1,14 +1,12 @@
-// The binned-vs-row differential suite (docs/binned-training.md): both
-// training cores run the exact same histogram grower, so serialized model
-// bytes and forecasts must be bit-identical across cores and thread counts
-// for every learner in the tree zoo. A golden fingerprint file additionally
-// pins the absolute model bytes so silent re-pins of the shared grower are
-// caught; intentional re-pins are documented in the golden file header and
-// applied with NEXTMAINT_REGEN_GOLDEN=1.
+// The binned-training equality suite (docs/binned-training.md): serialized
+// model bytes must be identical across thread counts and with or without a
+// shared BinningCache, for every learner in the tree zoo. A golden
+// fingerprint file pins the absolute model bytes so silent re-pins of the
+// shared grower are caught; intentional re-pins are documented in the golden
+// file header and applied with NEXTMAINT_REGEN_GOLDEN=1.
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -69,18 +67,15 @@ Dataset MakeFleetData(uint64_t seed, int rows) {
   return d;
 }
 
-/// Trains one model with the given core/thread configuration and returns
-/// its serialized bytes (precision-17 text; byte equality pins the model).
-std::string TrainedModelBytes(const SweepConfig& config, TreeCore core,
-                              int threads, const Dataset& train,
+/// Trains one model with the given thread count and cache and returns its
+/// serialized bytes (precision-17 text; byte equality pins the model).
+std::string TrainedModelBytes(const SweepConfig& config, int threads,
+                              const Dataset& train,
                               std::shared_ptr<BinningCache> cache = nullptr) {
   ParamMap params = config.params;
   params["num_threads"] = static_cast<double>(threads);
-  TrainingBackend backend;
-  backend.core = core;
-  backend.binning_cache = std::move(cache);
-  auto model =
-      MakeRegressor(config.algorithm, params, backend).MoveValueOrDie();
+  auto model = MakeRegressor(config.algorithm, params, std::move(cache))
+                   .MoveValueOrDie();
   EXPECT_TRUE(model->Fit(train).ok()) << config.id;
   std::ostringstream out;
   EXPECT_TRUE(model->Save(out).ok()) << config.id;
@@ -124,25 +119,17 @@ std::string HexFingerprint(uint64_t hash) {
 }
 
 // ---------------------------------------------------------------------------
-// Model bytes must be identical across cores and thread counts: the two
-// cores share one grower, and the parallel split search reduces in a fixed
-// candidate order, so neither knob may move a single byte.
+// Model bytes must be identical across thread counts: the forest grows its
+// trees from pre-drawn samples and seeds, and binning is per-feature, so no
+// thread count may move a single byte.
 
-TEST(BinnedEqualityTest, CoresAndThreadCountsProduceIdenticalModelBytes) {
+TEST(BinnedEqualityTest, ThreadCountsProduceIdenticalModelBytes) {
   const Dataset train = MakeFleetData(1234, 240);
   for (const SweepConfig& config : Grid()) {
-    const std::string reference =
-        TrainedModelBytes(config, TreeCore::kRowOriented, 1, train);
+    const std::string reference = TrainedModelBytes(config, 1, train);
     ASSERT_FALSE(reference.empty()) << config.id;
-    EXPECT_EQ(reference,
-              TrainedModelBytes(config, TreeCore::kRowOriented, 4, train))
-        << config.id << ": row core diverges across thread counts";
-    EXPECT_EQ(reference,
-              TrainedModelBytes(config, TreeCore::kBinned, 1, train))
-        << config.id << ": binned core diverges from row core";
-    EXPECT_EQ(reference,
-              TrainedModelBytes(config, TreeCore::kBinned, 4, train))
-        << config.id << ": threaded binned core diverges from row core";
+    EXPECT_EQ(reference, TrainedModelBytes(config, 4, train))
+        << config.id << ": model diverges across thread counts";
   }
 }
 
@@ -150,10 +137,8 @@ TEST(BinnedEqualityTest, SharedBinningCacheDoesNotChangeModelBytes) {
   const Dataset train = MakeFleetData(777, 180);
   auto cache = std::make_shared<BinningCache>();
   for (const SweepConfig& config : Grid()) {
-    const std::string uncached =
-        TrainedModelBytes(config, TreeCore::kBinned, 1, train);
-    EXPECT_EQ(uncached,
-              TrainedModelBytes(config, TreeCore::kBinned, 1, train, cache))
+    const std::string uncached = TrainedModelBytes(config, 1, train);
+    EXPECT_EQ(uncached, TrainedModelBytes(config, 1, train, cache))
         << config.id << ": cached binning changed the model";
   }
   // Five grid points over one matrix at three distinct max_bins settings:
@@ -161,47 +146,6 @@ TEST(BinnedEqualityTest, SharedBinningCacheDoesNotChangeModelBytes) {
   const BinningCache::Stats stats = cache->stats();
   EXPECT_EQ(stats.lookups, Grid().size());
   EXPECT_GT(stats.hits, 0u);
-}
-
-// Forecasts must be bit-identical, not merely near: serving compares
-// checkpoint bytes, so a 1-ULP drift would surface as fleet-wide churn.
-TEST(BinnedEqualityTest, ForecastsAreBitIdenticalAcrossCores) {
-  const Dataset train = MakeFleetData(4321, 240);
-  for (const SweepConfig& config : Grid()) {
-    ParamMap row_params = config.params;
-    row_params["num_threads"] = 1.0;
-    TrainingBackend row_backend;
-    row_backend.core = TreeCore::kRowOriented;
-    auto row_model =
-        MakeRegressor(config.algorithm, row_params, row_backend)
-            .MoveValueOrDie();
-    ASSERT_TRUE(row_model->Fit(train).ok()) << config.id;
-
-    ParamMap binned_params = config.params;
-    binned_params["num_threads"] = 4.0;
-    TrainingBackend binned_backend;
-    binned_backend.core = TreeCore::kBinned;
-    auto binned_model =
-        MakeRegressor(config.algorithm, binned_params, binned_backend)
-            .MoveValueOrDie();
-    ASSERT_TRUE(binned_model->Fit(train).ok()) << config.id;
-
-    Rng rng(99);
-    for (int i = 0; i < 50; ++i) {
-      const std::vector<double> probe = {
-          rng.Uniform(0, 12), 0.5 * static_cast<double>(rng.UniformInt(
-                                        uint64_t{24})),
-          static_cast<double>(rng.UniformInt(uint64_t{7})),
-          rng.Uniform(-4, 4)};
-      const auto span = std::span<const double>(probe.data(), 4);
-      const double row_prediction = row_model->Predict(span).ValueOrDie();
-      const double binned_prediction =
-          binned_model->Predict(span).ValueOrDie();
-      EXPECT_EQ(std::bit_cast<uint64_t>(row_prediction),
-                std::bit_cast<uint64_t>(binned_prediction))
-          << config.id << " probe " << i;
-    }
-  }
 }
 
 // Absolute pin: the grower's arithmetic is frozen by fingerprint. A diff
@@ -213,7 +157,7 @@ TEST(BinnedEqualityTest, ModelBytesMatchGoldenFingerprints) {
   std::map<std::string, std::string> current;
   for (const SweepConfig& config : Grid()) {
     current[config.id] = HexFingerprint(
-        Fnv1a(TrainedModelBytes(config, TreeCore::kBinned, 1, train)));
+        Fnv1a(TrainedModelBytes(config, 1, train)));
   }
 
   if (std::getenv("NEXTMAINT_REGEN_GOLDEN") != nullptr) {

@@ -1,8 +1,9 @@
-// Property suite for the binned training core (docs/binned-training.md):
+// Property suite for binned training (docs/binned-training.md): on
 // randomized corpora — degenerate constant and duplicate-heavy columns,
 // feature cardinalities on both sides of the 256-distinct-value bin-width
-// boundary — must train to byte-identical models on both cores, and the
-// DataPartition leaf ranges of a completed grow must never lose a sample.
+// boundary — every stored bin must be the one BinMapper::BinOf gives for
+// the raw value, and the DataPartition leaf ranges of a completed grow must
+// never lose a sample.
 // The sparse node histograms must keep every bin off their live lists at
 // exactly (+0.0, 0), and sparse growth must equal dense growth byte for
 // byte.
@@ -23,8 +24,8 @@
 
 #include "common/rng.h"
 #include "ml/binned_dataset.h"
+#include "ml/dataset.h"
 #include "ml/histogram.h"
-#include "ml/registry.h"
 
 namespace nextmaint {
 namespace ml {
@@ -83,50 +84,28 @@ Dataset MakeCorpus(Rng* rng, size_t rows,
   return d;
 }
 
-std::string TrainedBytes(const std::string& algorithm, const ParamMap& params,
-                         TreeCore core, const Dataset& train) {
-  TrainingBackend backend;
-  backend.core = core;
-  auto model = MakeRegressor(algorithm, params, backend).MoveValueOrDie();
-  EXPECT_TRUE(model->Fit(train).ok()) << algorithm;
-  std::ostringstream out;
-  EXPECT_TRUE(model->Save(out).ok()) << algorithm;
-  return std::move(out).str();
-}
-
-// ---------------------------------------------------------------------------
-// Cross-core equality on randomized corpora.
-
-TEST(BinnedPropertyTest, RandomizedCorporaTrainIdenticallyAcrossCores) {
-  const std::vector<std::string> algorithms = {"Tree", "RF", "XGB"};
-  Rng rng(20260808);
-  for (int trial = 0; trial < 12; ++trial) {
-    // Random fleet-corpus size and a random mix of column shapes, always
-    // including at least one degenerate column.
-    const size_t rows = 30 + rng.UniformInt(uint64_t{170});
-    std::vector<ColumnKind> kinds = {ColumnKind::kConstant};
-    const size_t extra = 1 + rng.UniformInt(uint64_t{3});
-    for (size_t f = 0; f < extra; ++f) {
-      kinds.push_back(
-          static_cast<ColumnKind>(rng.UniformInt(uint64_t{4})));
-    }
-    const Dataset train = MakeCorpus(&rng, rows, kinds);
-    const ParamMap params = {{"num_estimators", 8},
-                             {"num_iterations", 8},
-                             {"max_depth", 5},
-                             {"max_bins", 64},
-                             {"min_samples_leaf", 2}};
-    for (const std::string& algorithm : algorithms) {
-      EXPECT_EQ(TrainedBytes(algorithm, params, TreeCore::kRowOriented, train),
-                TrainedBytes(algorithm, params, TreeCore::kBinned, train))
-          << algorithm << " diverged on trial " << trial << " (" << rows
-          << " rows, " << kinds.size() << " features)";
+/// The storage contract every grower input rests on: each stored bin is
+/// the mapper's bin for the raw value, and a column is narrow exactly when
+/// its feature uses at most 256 bins.
+void ExpectBinsMatchMapper(const Matrix& x, const BinMapper& mapper,
+                           const BinnedDataset& binned,
+                           const std::string& where) {
+  ASSERT_EQ(binned.num_rows(), x.rows()) << where;
+  ASSERT_EQ(binned.num_features(), x.cols()) << where;
+  for (size_t f = 0; f < x.cols(); ++f) {
+    EXPECT_EQ(binned.IsNarrow(f), mapper.BinCount(f) <= 256)
+        << where << " feature " << f;
+    for (size_t r = 0; r < x.rows(); ++r) {
+      ASSERT_EQ(binned.Bin(f, r), mapper.BinOf(f, x(r, f)))
+          << where << " feature " << f << " row " << r;
     }
   }
 }
 
-// Crossing the 256-distinct boundary flips the binned columns from uint8_t
-// to uint16_t storage; the numbers the grower sees must not change.
+// ---------------------------------------------------------------------------
+// Binning: crossing the 256-distinct boundary flips the binned columns from
+// uint8_t to uint16_t storage; the bins the grower reads must not change.
+
 TEST(BinnedPropertyTest, WideBinCountsCrossTheNarrowStorageBoundary) {
   Rng rng(55);
   const Dataset train =
@@ -142,30 +121,37 @@ TEST(BinnedPropertyTest, WideBinCountsCrossTheNarrowStorageBoundary) {
   binned.Build(train.x(), mapper);
   EXPECT_FALSE(binned.IsNarrow(0));
   EXPECT_TRUE(binned.IsNarrow(1));
-  for (size_t r = 0; r < train.num_rows(); ++r) {
-    EXPECT_EQ(binned.Bin(0, r), mapper.BinOf(0, train.x()(r, 0)));
-  }
+  ExpectBinsMatchMapper(train.x(), mapper, binned, "pinned corpus");
 
-  // Both sides of the boundary train identically across cores.
-  for (const double max_bins : {128.0, 400.0}) {
-    const ParamMap params = {{"num_iterations", 10},
-                             {"max_depth", 4},
-                             {"max_bins", max_bins}};
-    EXPECT_EQ(TrainedBytes("XGB", params, TreeCore::kRowOriented, train),
-              TrainedBytes("XGB", params, TreeCore::kBinned, train))
-        << "max_bins=" << max_bins;
-    EXPECT_EQ(TrainedBytes("RF",
-                           {{"num_estimators", 6},
-                            {"max_depth", 4},
-                            {"max_bins", max_bins}},
-                           TreeCore::kRowOriented, train),
-              TrainedBytes("RF",
-                           {{"num_estimators", 6},
-                            {"max_depth", 4},
-                            {"max_bins", max_bins}},
-                           TreeCore::kBinned, train))
-        << "max_bins=" << max_bins;
+  // Randomized corpora holding every column kind, binned on both sides of
+  // the boundary: wide columns need more than 256 rows of kManyDistinct
+  // and a max_bins above 256.
+  size_t wide_columns = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const size_t rows = 30 + rng.UniformInt(uint64_t{570});
+    std::vector<ColumnKind> kinds = {
+        ColumnKind::kConstant, ColumnKind::kFewDistinct,
+        ColumnKind::kContinuous, ColumnKind::kManyDistinct};
+    const size_t extra = rng.UniformInt(uint64_t{3});
+    for (size_t f = 0; f < extra; ++f) {
+      kinds.push_back(static_cast<ColumnKind>(rng.UniformInt(uint64_t{4})));
+    }
+    const Dataset corpus = MakeCorpus(&rng, rows, kinds);
+    for (const int max_bins : {2, 64, 256, 1024}) {
+      BinMapper trial_mapper;
+      trial_mapper.Compute(corpus.x(), max_bins);
+      BinnedDataset trial_binned;
+      trial_binned.Build(corpus.x(), trial_mapper, /*num_threads=*/2);
+      ExpectBinsMatchMapper(corpus.x(), trial_mapper, trial_binned,
+                            "trial " + std::to_string(trial) + " (" +
+                                std::to_string(rows) + " rows, max_bins " +
+                                std::to_string(max_bins) + ")");
+      for (size_t f = 0; f < kinds.size(); ++f) {
+        if (!trial_binned.IsNarrow(f)) ++wide_columns;
+      }
+    }
   }
+  EXPECT_GT(wide_columns, 0u) << "no randomized corpus reached u16 storage";
 }
 
 // ---------------------------------------------------------------------------
@@ -455,24 +441,22 @@ std::string NodeBytes(const std::vector<GrowNode>& nodes) {
   return std::move(out).str();
 }
 
-template <class BinSource>
-std::string GrowBytes(const BinSource& bins, const BinMapper& mapper,
+std::string GrowBytes(const BinnedDataset& bins, const BinMapper& mapper,
                       const HistogramLayout& layout,
                       std::span<const double> values,
                       const std::vector<size_t>& rows, const GrowSpec& spec,
                       bool allow_sparse) {
   DataPartition partition;
   partition.Reset(rows);
-  internal::HistTreeGrower<BinSource> grower(bins, mapper, layout, values,
-                                             &partition, spec);
+  internal::HistTreeGrower grower(bins, mapper, layout, values, &partition,
+                                  spec);
   return NodeBytes(grower.Grow(allow_sparse));
 }
 
 // Sparse growth against the all-dense reference: every node — split, bin,
 // threshold, leaf payload and gain bits — must match, for forest-style
 // (mean mode, full depth, feature subsets, bootstrap duplicates) and
-// boosting-style (Newton mode on gradients, depth-limited) trees, on both
-// bin sources.
+// boosting-style (Newton mode on gradients, depth-limited) trees.
 TEST(BinnedPropertyTest, SparseGrowthEqualsDenseGrowthByteForByte) {
   Rng rng(31337);
   for (int trial = 0; trial < 8; ++trial) {
@@ -486,7 +470,6 @@ TEST(BinnedPropertyTest, SparseGrowthEqualsDenseGrowthByteForByte) {
     const HistogramLayout layout(mapper);
     BinnedDataset binned;
     binned.Build(train.x(), mapper);
-    const OnTheFlyBins on_the_fly{&train.x(), &mapper};
 
     const std::vector<double> targets = AdversarialValues(&rng, n);
     std::vector<double> gradients(n);
@@ -522,10 +505,6 @@ TEST(BinnedPropertyTest, SparseGrowthEqualsDenseGrowthByteForByte) {
                 dense)
           << c.name << " diverged on trial " << trial << " (" << n
           << " rows)";
-      EXPECT_EQ(GrowBytes(on_the_fly, mapper, layout, c.values, c.rows,
-                          c.spec, true),
-                dense)
-          << c.name << " diverged across bin sources on trial " << trial;
     }
   }
 }

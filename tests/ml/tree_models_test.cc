@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 
 #include "common/rng.h"
+#include "ml/binned_dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/hist_gradient_boosting.h"
 #include "ml/random_forest.h"
@@ -427,6 +430,47 @@ TEST(HistGradientBoostingTest, PredictBatchMatchesPerRowPredict) {
   HistGradientBoostingRegressor unfitted;
   EXPECT_EQ(unfitted.PredictBatch(test.x()).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Every tree learner validates its inputs before binning: a fit rejected
+// for a non-finite cell or for min_samples_leaf < 1 must neither look up
+// nor insert a BinningCache entry for the matrix.
+TEST(TreeLearnersTest, RejectedFitsNeverTouchTheBinningCache) {
+  const double finite = 0.7;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), finite}) {
+    Dataset data;
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<double> row = {i == 7 ? bad : 0.1 * i, 1.0};
+      data.AddRow(std::span<const double>(row.data(), 2),
+                  i < 20 ? 10.0 : -10.0);
+    }
+    // A finite matrix is rejected for its options instead.
+    const int min_samples_leaf = bad == finite ? 0 : 1;
+    const auto cache = std::make_shared<BinningCache>();
+    DecisionTreeRegressor::Options tree_options;
+    tree_options.min_samples_leaf = min_samples_leaf;
+    tree_options.binning_cache = cache;
+    RandomForestRegressor::Options forest_options;
+    forest_options.num_estimators = 3;
+    forest_options.min_samples_leaf = min_samples_leaf;
+    forest_options.binning_cache = cache;
+    HistGradientBoostingRegressor::Options boosting_options;
+    boosting_options.num_iterations = 3;
+    boosting_options.min_samples_leaf = min_samples_leaf;
+    boosting_options.binning_cache = cache;
+    std::vector<std::unique_ptr<Regressor>> models;
+    models.push_back(std::make_unique<DecisionTreeRegressor>(tree_options));
+    models.push_back(std::make_unique<RandomForestRegressor>(forest_options));
+    models.push_back(
+        std::make_unique<HistGradientBoostingRegressor>(boosting_options));
+    for (const std::unique_ptr<Regressor>& model : models) {
+      EXPECT_EQ(model->Fit(data).code(), StatusCode::kInvalidArgument)
+          << model->name() << " with " << bad;
+      EXPECT_EQ(cache->stats().entries, 0u) << model->name() << " with " << bad;
+      EXPECT_EQ(cache->stats().lookups, 0u) << model->name() << " with " << bad;
+    }
+  }
 }
 
 TEST(BinMapperTest, QuantileBinsAreMonotone) {

@@ -114,15 +114,14 @@ std::vector<VehicleSpec> PropertyFleet() {
   return fleet;
 }
 
-/// Scheduler options exercising the tree learners (and with them the
-/// binned training core): RF in the per-vehicle selection, XGB as the
+/// Scheduler options exercising the tree learners (and with them binned
+/// training and its caches): RF in the per-vehicle selection, XGB as the
 /// unified cold-start model, small settings so the property replay stays
 /// fast.
-core::SchedulerOptions TreeOptions(int num_threads, ml::TreeCore core) {
+core::SchedulerOptions TreeOptions(int num_threads) {
   core::SchedulerOptions options = FastOptions(num_threads);
   options.algorithms = {"BL", "RF"};
   options.unified_algorithm = "XGB";
-  options.tree_core = core;
   // Selection is untuned (library defaults); only the cold-start models
   // take explicit params, trimmed for test speed.
   options.cold_start.model_params = {{"num_estimators", 6},
@@ -207,14 +206,14 @@ TEST(ServingEngineTest, IncrementalMatchesBatchUnderRandomInterleavings) {
   }
 }
 
-/// The binned-core serving contract (docs/binned-training.md): with tree
-/// learners in the loop, append/refresh interleavings must stay checkpoint-
-/// byte-identical to a from-scratch batch run — and the batch run itself
-/// must be byte-identical whether it trains on the binned or the row core.
-TEST(ServingEngineTest, BinnedInterleavingMatchesBatchAcrossCores) {
+/// The binned-training serving contract (docs/binned-training.md): with tree
+/// learners and their binning caches in the loop, append/refresh
+/// interleavings must stay checkpoint-byte-identical to a from-scratch batch
+/// run, at 1 and 4 threads.
+TEST(ServingEngineTest, BinnedInterleavingMatchesBatch) {
   for (const int threads : {1, 4}) {
     const std::vector<VehicleSpec> fleet = PropertyFleet();
-    ServingEngine engine(TreeOptions(threads, ml::TreeCore::kBinned));
+    ServingEngine engine(TreeOptions(threads));
     std::map<std::string, size_t> ingested;
     for (const VehicleSpec& v : fleet) {
       ASSERT_TRUE(engine.Register(v.id, v.series.start_date()).ok());
@@ -244,20 +243,12 @@ TEST(ServingEngineTest, BinnedInterleavingMatchesBatchAcrossCores) {
     }
     ASSERT_TRUE(engine.RefreshForecasts().ok()) << label;
 
-    const core::FleetScheduler batch_binned = BatchScheduler(
-        fleet, ingested, TreeOptions(threads, ml::TreeCore::kBinned));
+    const core::FleetScheduler batch =
+        BatchScheduler(fleet, ingested, TreeOptions(threads));
     ExpectForecastsIdentical(engine.Snapshot()->forecasts,
-                             batch_binned.FleetForecast().ValueOrDie(), label);
-    const std::string binned_bytes =
-        CheckpointBytes(batch_binned, "serve_batch_binned.txt");
+                             batch.FleetForecast().ValueOrDie(), label);
     EXPECT_EQ(CheckpointBytes(engine.scheduler(), "serve_inc_binned.txt"),
-              binned_bytes)
-        << label;
-    // Cross-core pin at fleet level: retraining the identical fleet on the
-    // row-oriented core (single-threaded) reproduces the same checkpoint.
-    const core::FleetScheduler batch_row = BatchScheduler(
-        fleet, ingested, TreeOptions(1, ml::TreeCore::kRowOriented));
-    EXPECT_EQ(binned_bytes, CheckpointBytes(batch_row, "serve_batch_row.txt"))
+              CheckpointBytes(batch, "serve_batch_binned.txt"))
         << label;
   }
 }
@@ -266,7 +257,7 @@ TEST(ServingEngineTest, BinnedInterleavingMatchesBatchAcrossCores) {
 /// invalidate exactly that vehicle's cache, and a series replacement must
 /// also drop the unified-corpus cache.
 TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
-  ServingEngine engine(TreeOptions(1, ml::TreeCore::kBinned));
+  ServingEngine engine(TreeOptions(1));
   const data::DailySeries s1 = SimulatedVehicle(201, 600);
   const data::DailySeries s2 = SimulatedVehicle(202, 600);
   ASSERT_TRUE(engine.Register("v1", s1.start_date()).ok());
@@ -299,7 +290,7 @@ TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
 
   // Wholesale series replacement invalidates the corpus-level cache too:
   // the first cycle itself may have changed.
-  core::FleetScheduler batch(TreeOptions(1, ml::TreeCore::kBinned));
+  core::FleetScheduler batch(TreeOptions(1));
   ASSERT_TRUE(batch.RegisterVehicle("v1", s1.start_date()).ok());
   ASSERT_TRUE(batch.IngestSeries("v1", s1).ok());
   ASSERT_TRUE(batch.TrainAll().ok());
