@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/macros.h"
 #include "core/baseline.h"
@@ -40,7 +41,50 @@ Result<ml::Dataset> BuildTrainingData(const data::DailySeries& train_u,
                                dataset_options, resampling);
 }
 
+/// FitKey of a holdout fit: the training bytes plus, when tuning, the grid
+/// search settings.
+FitKey HoldoutKey(const std::string& algorithm, const ml::Dataset& train,
+                  const OldVehicleOptions& options) {
+  FitKey key = FitKey::Of(algorithm, train);
+  if (options.tune) {
+    key.tune = true;
+    key.grid_budget = options.grid_budget;
+    key.grid_early_stopping_patience = options.grid_early_stopping_patience;
+    key.seed = options.seed;
+  }
+  return key;
+}
+
+/// The stored predictions for `days` (with matching feature rows), or
+/// nullopt when any day is missing from the memo entry.
+std::optional<std::vector<double>> RecallPredictions(
+    const FitMemo::Holdout& memo, const std::vector<size_t>& days,
+    const std::vector<uint64_t>& rows) {
+  std::vector<double> predictions;
+  predictions.reserve(days.size());
+  auto stored = memo.test.begin();
+  for (size_t i = 0; i < days.size(); ++i) {
+    while (stored != memo.test.end() && stored->day < days[i]) ++stored;
+    if (stored == memo.test.end() || stored->day != days[i] ||
+        stored->row != rows[i]) {
+      return std::nullopt;
+    }
+    predictions.push_back(stored->prediction);
+  }
+  return predictions;
+}
+
 }  // namespace
+
+FitKey FitKey::Of(const std::string& algorithm, const ml::Dataset& train) {
+  FitKey key;
+  key.algorithm = algorithm;
+  key.rows = train.num_rows();
+  key.cols = train.num_features();
+  key.fingerprint =
+      ml::FingerprintValues(train.y(), ml::FingerprintMatrix(train.x()));
+  return key;
+}
 
 Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
     const std::string& algorithm, const data::DailySeries& u,
@@ -69,6 +113,7 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
 
   const double t_start = NowSeconds();
   std::unique_ptr<ml::Regressor> model;
+  std::optional<ml::Dataset> train_data;
   if (algorithm == "BL") {
     // BL: average utilization over the training period (Eq. 5); no
     // training beyond that.
@@ -78,37 +123,14 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
     model = std::make_unique<BaselinePredictor>(avg, l_scale);
   } else {
     NM_ASSIGN_OR_RETURN(
-        ml::Dataset train_data,
+        train_data,
         BuildTrainingData(train_u, maintenance_interval_s, options));
-    ml::ParamMap params;
-    if (options.tune) {
-      NM_ASSIGN_OR_RETURN(ml::RegressorFactory factory,
-                          ml::MakeFactory(algorithm, options.binning_cache));
-      const ml::ParamGrid grid =
-          ml::DefaultGridFor(algorithm, options.grid_budget);
-      ml::GridSearchOptions search_options;
-      search_options.seed = options.seed;
-      // Tiny training sets cannot sustain 5 folds.
-      search_options.folds =
-          std::min<size_t>(5, std::max<size_t>(2, train_data.num_rows() / 10));
-      search_options.early_stopping_patience =
-          options.grid_early_stopping_patience;
-      if (train_data.num_rows() >= 2 * search_options.folds) {
-        NM_ASSIGN_OR_RETURN(
-            ml::GridSearchResult search,
-            ml::GridSearchCV(factory, grid, train_data, search_options));
-        params = search.best_params;
-      }
-      eval.best_params = params;
-    }
-    NM_ASSIGN_OR_RETURN(
-        model, ml::MakeRegressor(algorithm, params, options.binning_cache));
-    NM_RETURN_NOT_OK(model->Fit(train_data).WithContext(algorithm));
   }
   eval.train_seconds = NowSeconds() - t_start;
 
   // Test period: days >= split with a defined target (and >= W so the
-  // feature window exists).
+  // feature window exists). A feature-row failure surfaces only after the
+  // fit, so a fit error keeps precedence.
   DatasetOptions feature_options;
   feature_options.window = options.window;
   feature_options.normalize_features = options.normalize_features;
@@ -117,20 +139,91 @@ Result<VehicleEvaluation> EvaluateAlgorithmOnVehicle(
   const size_t first_test_day =
       std::max(split, static_cast<size_t>(options.window));
   ml::Matrix test_x;
-  for (size_t t = first_test_day; t < n; ++t) {
-    if (!full.HasTarget(t)) continue;
-    NM_ASSIGN_OR_RETURN(std::vector<double> row,
-                        BuildFeatureRow(full, t, feature_options));
-    test_x.AppendRow(std::span<const double>(row.data(), row.size()));
-    eval.test_truth.push_back(full.d[t]);
+  std::vector<size_t> test_days;
+  const Status test_status = [&]() -> Status {
+    for (size_t t = first_test_day; t < n; ++t) {
+      if (!full.HasTarget(t)) continue;
+      NM_ASSIGN_OR_RETURN(std::vector<double> row,
+                          BuildFeatureRow(full, t, feature_options));
+      test_x.AppendRow(std::span<const double>(row.data(), row.size()));
+      eval.test_truth.push_back(full.d[t]);
+      test_days.push_back(t);
+    }
+    return Status::OK();
+  }();
+
+  // Fit-memo lookup: same training bytes and every test row already
+  // predicted by the stored fit.
+  FitMemo* memo = train_data.has_value() ? options.fit_memo : nullptr;
+  FitKey key;
+  std::vector<uint64_t> test_rows;
+  std::optional<std::vector<double>> recalled;
+  if (memo != nullptr && test_status.ok()) {
+    key = HoldoutKey(algorithm, *train_data, options);
+    test_rows.reserve(test_x.rows());
+    for (size_t r = 0; r < test_x.rows(); ++r) {
+      test_rows.push_back(ml::FingerprintValues(test_x.Row(r)));
+    }
+    auto it = memo->holdout.find(algorithm);
+    if (it != memo->holdout.end() && it->second.key == key &&
+        !test_days.empty()) {
+      recalled = RecallPredictions(it->second, test_days, test_rows);
+      if (recalled.has_value()) eval.best_params = it->second.best_params;
+    }
   }
-  if (eval.test_truth.empty()) {
-    return Status::InvalidArgument(
-        "no evaluable test day (no completed cycle in the test window)");
+
+  if (recalled.has_value()) {
+    eval.test_predicted = *std::move(recalled);
+  } else {
+    const double t_fit = NowSeconds();
+    if (train_data.has_value()) {
+      ml::ParamMap params;
+      if (options.tune) {
+        NM_ASSIGN_OR_RETURN(ml::RegressorFactory factory,
+                            ml::MakeFactory(algorithm, options.binning_cache));
+        const ml::ParamGrid grid =
+            ml::DefaultGridFor(algorithm, options.grid_budget);
+        ml::GridSearchOptions search_options;
+        search_options.seed = options.seed;
+        // Tiny training sets cannot sustain 5 folds.
+        search_options.folds = std::min<size_t>(
+            5, std::max<size_t>(2, train_data->num_rows() / 10));
+        search_options.early_stopping_patience =
+            options.grid_early_stopping_patience;
+        if (train_data->num_rows() >= 2 * search_options.folds) {
+          NM_ASSIGN_OR_RETURN(
+              ml::GridSearchResult search,
+              ml::GridSearchCV(factory, grid, *train_data, search_options));
+          params = search.best_params;
+        }
+        eval.best_params = params;
+      }
+      NM_ASSIGN_OR_RETURN(
+          model, ml::MakeRegressor(algorithm, params, options.binning_cache));
+      NM_RETURN_NOT_OK(model->Fit(*train_data).WithContext(algorithm));
+      train_data.reset();  // free the training rows before predicting
+    }
+    eval.train_seconds += NowSeconds() - t_fit;
+    NM_RETURN_NOT_OK(test_status);
+    if (eval.test_truth.empty()) {
+      return Status::InvalidArgument(
+          "no evaluable test day (no completed cycle in the test window)");
+    }
+    // One batched call for the whole test window (RF/XGB amortize the
+    // per-call dispatch); results are bit-identical to the per-row loop.
+    NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test_x));
+    if (memo != nullptr) {
+      FitMemo::Holdout& entry = memo->holdout[algorithm];
+      entry.key = key;
+      entry.best_params = eval.best_params;
+      entry.test.clear();
+      entry.test.reserve(test_days.size());
+      for (size_t i = 0; i < test_days.size(); ++i) {
+        entry.test.push_back(FitMemo::TestPoint{
+            test_days[i], test_rows[i], eval.test_predicted[i]});
+      }
+    }
   }
-  // One batched call for the whole test window (RF/XGB amortize the
-  // per-call dispatch); results are bit-identical to the per-row loop.
-  NM_ASSIGN_OR_RETURN(eval.test_predicted, model->PredictBatch(test_x));
 
   NM_ASSIGN_OR_RETURN(eval.eglobal,
                       GlobalError(eval.test_truth, eval.test_predicted));

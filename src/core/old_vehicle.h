@@ -1,7 +1,10 @@
 #ifndef NEXTMAINT_CORE_OLD_VEHICLE_H_
 #define NEXTMAINT_CORE_OLD_VEHICLE_H_
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,59 @@
 
 namespace nextmaint {
 namespace core {
+
+/// Identity of one fit's inputs: the algorithm, the options that shape the
+/// fit and the exact training bytes. Every fit is a pure function of these
+/// (at any thread count), so two fits with equal keys produce byte-identical
+/// models.
+struct FitKey {
+  std::string algorithm;
+  /// Grid-search settings (all zero/false for an untuned fit).
+  bool tune = false;
+  int grid_budget = 0;
+  int grid_early_stopping_patience = 0;
+  uint64_t seed = 0;
+  /// Exact training-set shape plus ml::FingerprintMatrix of x chained with
+  /// ml::FingerprintValues of y.
+  size_t rows = 0;
+  size_t cols = 0;
+  uint64_t fingerprint = 0;
+
+  /// The key of an untuned fit of `algorithm` on `train`.
+  static FitKey Of(const std::string& algorithm, const ml::Dataset& train);
+
+  bool operator==(const FitKey&) const = default;
+};
+
+/// Per-vehicle memo of the fits behind its last training, so a retrain whose
+/// training set is byte-identical to the previous one skips the fit. A day
+/// appended mid-cycle adds no labelled row (the target is the number of days
+/// to the *next* maintenance), so this is the common case of an incremental
+/// refresh. Reuse returns exactly the bytes a refit would, so no output
+/// changes. Not synchronized: one thread at a time per memo.
+struct FitMemo {
+  /// One held-out test day's prediction.
+  struct TestPoint {
+    size_t day = 0;
+    /// ml::FingerprintValues of the day's feature row.
+    uint64_t row = 0;
+    double prediction = 0.0;
+  };
+  /// The last holdout fit of one algorithm: its key, the grid search's
+  /// winning params and its predictions on the test window (in day
+  /// order). The model itself is not kept: a reference-fleet RF is
+  /// megabytes, its predictions a few kilobytes.
+  struct Holdout {
+    FitKey key;
+    ml::ParamMap best_params;
+    std::vector<TestPoint> test;
+  };
+  /// Last holdout fit per algorithm (EvaluateAlgorithmOnVehicle).
+  std::map<std::string, Holdout> holdout;
+  /// Key of the fit behind the vehicle's deployed model; nullopt whenever
+  /// that model came from anywhere else (checkpoint, warm start, fallback).
+  std::optional<FitKey> deployed;
+};
 
 /// Options for per-vehicle training/evaluation.
 struct OldVehicleOptions {
@@ -54,6 +110,12 @@ struct OldVehicleOptions {
   /// attached, every grid-search candidate and CV fold on the same matrix
   /// bins the data once.
   std::shared_ptr<ml::BinningCache> binning_cache;
+  /// Optional per-vehicle fit memo (not owned). With a memo attached, a
+  /// non-BL evaluation whose FitKey matches the memo's entry for the
+  /// algorithm, and whose every test day (with the same feature row) is
+  /// among the stored ones, returns the stored params and predictions and
+  /// skips the grid search, fit and predict.
+  FitMemo* fit_memo = nullptr;
 };
 
 /// Outcome of evaluating one algorithm on one vehicle.
@@ -73,7 +135,7 @@ struct VehicleEvaluation {
   /// any d (Figure 5) without re-training.
   std::vector<double> test_truth;
   std::vector<double> test_predicted;
-  /// The trained model (null for callers that only need the numbers).
+  /// The trained model; null when the numbers came from a fit-memo hit.
   std::shared_ptr<ml::Regressor> model;
 };
 

@@ -65,8 +65,10 @@ Status FleetScheduler::IngestUsage(const std::string& id, Date day,
     return Status::InvalidArgument("utilization must be in [0, 86400]");
   }
   state.usage.Append(seconds);  // nextmaint-lint: allow(unchecked-status): DailySeries::Append is void; the harvested name collides with ServingEngine::Append
-  // New data means the cached binnings of this vehicle's matrices can never
-  // be hit again; drop them so the next training starts a fresh cache.
+  // Drop the vehicle's cached binnings to bound memory. They are
+  // content-addressed and an unchanged training matrix would hit again, but
+  // a mid-cycle day leaves the training sets unchanged and the fit memo
+  // (kept: appends never invalidate it) then skips those fits entirely.
   binning_caches_.erase(id);
   telemetry::Count("scheduler.ingest.days");
   return Status::OK();
@@ -87,6 +89,7 @@ Status FleetScheduler::IngestSeries(const std::string& id,
   it->second.usage = series;
   it->second.model.reset();
   it->second.pending_segment = storage::SegmentView();
+  it->second.fit_memo.reset();
   binning_caches_.erase(id);
   // Unlike Append, a wholesale series replacement can change the vehicle's
   // first cycle and therefore the cold-start corpus; reset the shared
@@ -218,6 +221,15 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
                                        VehicleState& state,
                                        const ColdStartInputs& inputs) {
   telemetry::ScopedTimer vehicle_timer("scheduler.train.vehicle.seconds");
+  // The previous model survives only as a candidate for reuse by the
+  // deployment refit below, and only while it is still the product of the
+  // memoized fit.
+  std::optional<FitKey> previous_key;
+  std::shared_ptr<ml::Regressor> previous_model;
+  if (state.fit_memo != nullptr && state.fit_memo->deployed.has_value()) {
+    previous_key = std::exchange(state.fit_memo->deployed, std::nullopt);
+    previous_model = std::move(state.model);
+  }
   state.model.reset();
   state.model_name.clear();
   state.pending_segment = storage::SegmentView();
@@ -237,6 +249,14 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
         cache_it != binning_caches_.end()) {
       selection_options.binning_cache = cache_it->second;
     }
+    // Only algorithms that fit a model have anything to memoize; a BL-only
+    // fleet keeps one null pointer per vehicle.
+    if (state.fit_memo == nullptr &&
+        std::any_of(options_.algorithms.begin(), options_.algorithms.end(),
+                    [](const std::string& a) { return a != "BL"; })) {
+      state.fit_memo = std::make_unique<FitMemo>();
+    }
+    selection_options.fit_memo = state.fit_memo.get();
     std::string chosen = "BL";
     Result<ModelSelectionResult> selection = [&] {
       telemetry::ScopedTimer selection_timer(
@@ -248,6 +268,12 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
     if (selection.ok()) {
       const ModelSelectionResult& result = selection.ValueOrDie();
       chosen = result.evaluations[result.best_index].algorithm;
+      for (const VehicleEvaluation& eval : result.evaluations) {
+        // A null model on a fitted algorithm marks a fit-memo hit.
+        if (eval.model == nullptr) {
+          telemetry::Count("scheduler.train.holdout_reused");
+        }
+      }
     } else {
       NM_LOG(Warning) << id << ": model selection failed ("
                       << selection.status().ToString()
@@ -283,12 +309,23 @@ Status FleetScheduler::TrainOneVehicle(const std::string& id,
         BuildResampledDataset(state.usage,
                               options_.maintenance_interval_s,
                               dataset_options, resampling));
-    NM_ASSIGN_OR_RETURN(
-        std::unique_ptr<ml::Regressor> model,
-        ml::MakeRegressor(chosen, {}, selection_options.binning_cache));
-    NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
-    state.model = std::move(model);
+    // The deployment fit is untuned, so its key is the algorithm plus the
+    // training bytes; an unchanged key keeps the previous model, which is
+    // byte-identical to what the refit would produce.
+    FitKey key = FitKey::Of(chosen, full_data);
+    if (previous_model != nullptr && previous_key == key) {
+      state.model = std::move(previous_model);
+      telemetry::Count("scheduler.train.model_reused");
+    } else {
+      previous_model.reset();
+      NM_ASSIGN_OR_RETURN(
+          std::unique_ptr<ml::Regressor> model,
+          ml::MakeRegressor(chosen, {}, selection_options.binning_cache));
+      NM_RETURN_NOT_OK(model->Fit(full_data).WithContext(id));
+      state.model = std::move(model);
+    }
     state.model_name = chosen;
+    state.fit_memo->deployed = std::move(key);
     return Status::OK();
   }
 
@@ -390,6 +427,7 @@ Status FleetScheduler::TrainVehicles(const std::vector<std::string>& ids,
           state.model.reset();
           state.model_name.clear();
           state.pending_segment = storage::SegmentView();
+          state.ForgetDeployedFit();
           VehicleDegradation degradation;
           degradation.vehicle_id = id;
           degradation.stage = "train";
@@ -468,6 +506,7 @@ Result<bool> FleetScheduler::WarmStartVehicle(const std::string& id,
                             dataset_options, resampling));
 
   telemetry::ScopedTimer timer("scheduler.warm_start.seconds");
+  state.ForgetDeployedFit();
   NM_RETURN_NOT_OK(
       state.model->ContinueFit(full_data, extra_rounds).WithContext(id));
   telemetry::Count("scheduler.warm_start.count");
@@ -824,6 +863,7 @@ Status FleetScheduler::ReadCheckpointPayload(std::istream& in) {
         state.model = std::move(entry.model);
         state.model_name = std::move(entry.model_name);
         state.pending_segment = storage::SegmentView();
+        state.ForgetDeployedFit();
       }
       return Status::OK();
     }
@@ -885,6 +925,7 @@ Status FleetScheduler::LoadCheckpoint(const std::string& path) {
     state.model.reset();
     state.model_name = entry.model_name;
     state.pending_segment = entry.segment;
+    state.ForgetDeployedFit();
   }
   telemetry::Count("scheduler.checkpoint.lazy_loads");
   telemetry::SetGauge("scheduler.checkpoint.pending_segments",

@@ -324,6 +324,19 @@ class FleetScheduler {
     /// Unparsed checkpoint segment staged by a lazy LoadCheckpoint;
     /// cleared when the model materializes, retrains or re-ingests.
     mutable storage::SegmentView pending_segment;
+    /// Fits behind this vehicle's last old-vehicle training (see FitMemo),
+    /// allocated on its first one that selects among fitted algorithms:
+    /// vehicles that never fit a per-vehicle model pay one null pointer
+    /// each. Only TrainOneVehicle
+    /// sets `deployed`; every other writer of `model` calls
+    /// ForgetDeployedFit. Not persisted, so the first training after a
+    /// checkpoint load refits.
+    std::unique_ptr<FitMemo> fit_memo;
+
+    /// Marks `model` as no longer the product of the memoized fit.
+    void ForgetDeployedFit() {
+      if (fit_memo != nullptr) fit_memo->deployed.reset();
+    }
   };
 
   [[nodiscard]] Result<const VehicleState*> FindVehicle(const std::string& id) const;
@@ -361,9 +374,10 @@ class FleetScheduler {
   std::map<std::string, VehicleState> vehicles_;
   /// Per-vehicle binning caches, created in TrainVehicles' serial
   /// validation pass (the training fan-out only reads the map) and dropped
-  /// whenever new data for the vehicle arrives — keys are content-addressed,
-  /// so a stale entry could never be hit again anyway; eviction just bounds
-  /// memory.
+  /// whenever new data for the vehicle arrives. Keys are content-addressed,
+  /// so the drop is about memory, not correctness: an unchanged training
+  /// matrix would still hit, but the vehicle's FitMemo already skips those
+  /// fits.
   std::map<std::string, std::shared_ptr<ml::BinningCache>> binning_caches_;
   /// Cache behind every cold-start fit; lives in
   /// options_.cold_start.binning_cache (attached by the constructor), kept

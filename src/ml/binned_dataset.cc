@@ -1,7 +1,6 @@
 #include "ml/binned_dataset.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -105,23 +104,6 @@ size_t BinnedDataset::MemoryBytes() const {
 }
 
 namespace {
-
-/// FNV-1a over the matrix cells (bit-cast doubles), row-major order. Cheap
-/// relative to a fit and collision-safe enough once combined with the exact
-/// (rows, cols, max_bins) key fields.
-uint64_t FingerprintMatrix(const Matrix& x) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (size_t c = 0; c < x.cols(); ++c) {
-      const uint64_t bits = std::bit_cast<uint64_t>(x(r, c));
-      for (int shift = 0; shift < 64; shift += 8) {
-        hash ^= (bits >> shift) & 0xffULL;
-        hash *= 0x100000001b3ULL;
-      }
-    }
-  }
-  return hash;
-}
 
 std::shared_ptr<const PreBinned> ComputeBinning(const Matrix& x, int max_bins,
                                                 int num_threads) {

@@ -61,14 +61,6 @@ Status DecisionTreeRegressor::ValidateFit(
   return Status::OK();
 }
 
-Status DecisionTreeRegressor::FitBinned(const Dataset& train,
-                                        const PreBinned& binning,
-                                        const std::vector<size_t>& indices) {
-  NM_RETURN_NOT_OK(ValidateFit(train, indices));
-  Grow(train, binning, indices);
-  return Status::OK();
-}
-
 void DecisionTreeRegressor::Grow(const Dataset& train,
                                  const PreBinned& binning,
                                  const std::vector<size_t>& indices) {

@@ -48,17 +48,10 @@ class DecisionTreeRegressor final : public Regressor {
   /// Recognised ParamMap keys: "max_depth", "min_samples_leaf", "max_bins".
   static Options OptionsFromParams(const ParamMap& params);
 
-  /// Fits on the subset of `train` given by `indices` (duplicates allowed;
-  /// this is the bootstrap entry point used by the forest). Bins train.x()
-  /// per this tree's own options (max_bins, cache).
+  /// Fits on the subset of `train` given by `indices` (duplicates allowed,
+  /// as in a bootstrap sample). Bins train.x() per this tree's own options
+  /// (max_bins, cache).
   [[nodiscard]] Status FitIndices(const Dataset& train, const std::vector<size_t>& indices);
-
-  /// Like FitIndices with the binning supplied by the caller: it must have
-  /// been prepared from train.x() — the forest prepares it once and shares
-  /// it across trees.
-  [[nodiscard]] Status FitBinned(const Dataset& train,
-                                 const PreBinned& binning,
-                                 const std::vector<size_t>& indices);
 
   [[nodiscard]] Result<double> Predict(std::span<const double> features) const override;
   std::string name() const override { return "Tree"; }
@@ -91,10 +84,16 @@ class DecisionTreeRegressor final : public Regressor {
   [[nodiscard]] Status FitImpl(const Dataset& train) override;
 
  private:
+  /// The forest validates its inputs and options once per fit, prepares
+  /// one binning and grows every tree straight through Grow.
+  friend class RandomForestRegressor;
+
   /// Clears the fitted tree and checks the inputs and options of a fit.
   [[nodiscard]] Status ValidateFit(const Dataset& train,
                                    const std::vector<size_t>& indices);
-  /// Grows the tree on validated inputs.
+  /// Grows the tree on validated inputs: a non-empty sample, a finite
+  /// matrix, 2 <= max_bins <= 65535, min_samples_leaf >= 1, and `binning`
+  /// prepared from train.x().
   void Grow(const Dataset& train, const PreBinned& binning,
             const std::vector<size_t>& indices);
 

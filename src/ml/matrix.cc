@@ -1,5 +1,6 @@
 #include "ml/matrix.h"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -225,6 +226,24 @@ double Dot(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
   for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
+}
+
+uint64_t FingerprintValues(std::span<const double> values, uint64_t hash) {
+  for (const double value : values) {
+    const uint64_t bits = std::bit_cast<uint64_t>(value);
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash ^= (bits >> shift) & 0xffULL;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+uint64_t FingerprintMatrix(const Matrix& x, uint64_t hash) {
+  for (size_t r = 0; r < x.rows(); ++r) {
+    hash = FingerprintValues(x.Row(r), hash);
+  }
+  return hash;
 }
 
 }  // namespace ml

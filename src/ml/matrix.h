@@ -2,6 +2,7 @@
 #define NEXTMAINT_ML_MATRIX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,6 +106,20 @@ class Matrix {
 
 /// Dot product over equal-length spans.
 double Dot(std::span<const double> a, std::span<const double> b);
+
+/// FNV-1a offset basis: the starting value of a fresh fingerprint.
+inline constexpr uint64_t kFingerprintBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over the bit patterns of `values`, in order, continuing from
+/// `hash` so successive spans chain into one fingerprint. Cheap relative to
+/// a fit and collision-safe enough once combined with exact shape fields;
+/// the content key of BinningCache and of the per-vehicle fit memo
+/// (core/old_vehicle.h).
+uint64_t FingerprintValues(std::span<const double> values,
+                           uint64_t hash = kFingerprintBasis);
+
+/// FingerprintValues over every cell of `x`, row-major.
+uint64_t FingerprintMatrix(const Matrix& x, uint64_t hash = kFingerprintBasis);
 
 }  // namespace ml
 }  // namespace nextmaint

@@ -148,10 +148,10 @@ Status RandomForestRegressor::GrowTrees(const Dataset& train, Rng* rng,
           tree_options.seed = seeds[t];
           tree_options.max_bins = options_.max_bins;
 
+          // FitImpl / ContinueFitImpl validated the inputs once for the
+          // whole forest (and Fit or LoadBody the options).
           DecisionTreeRegressor tree(tree_options);
-          NM_RETURN_NOT_OK(
-              tree.FitBinned(train, *binning, samples[t])
-                  .WithContext("tree " + std::to_string(trees_before + t)));
+          tree.Grow(train, *binning, samples[t]);
 
           if (record_oob) {
             std::vector<char>& in_bag = tree_in_bag[t];

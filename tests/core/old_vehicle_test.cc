@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/telemetry.h"
 #include "telematics/fleet.h"
 
 namespace nextmaint {
@@ -166,6 +169,136 @@ TEST(PerDayResidualsTest, MissingDaysAreNaN) {
   const std::vector<double> curve = PerDayResiduals(eval, 1, 2);
   EXPECT_DOUBLE_EQ(curve[0], 0.0);
   EXPECT_TRUE(std::isnan(curve[1]));
+}
+
+/// Requires two evaluations to agree bit for bit on every reported number.
+void ExpectSameEvaluation(const VehicleEvaluation& got,
+                          const VehicleEvaluation& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.algorithm, want.algorithm) << label;
+  EXPECT_EQ(got.emre, want.emre) << label;
+  EXPECT_EQ(got.eglobal, want.eglobal) << label;
+  EXPECT_EQ(got.best_params, want.best_params) << label;
+  EXPECT_EQ(got.test_truth, want.test_truth) << label;
+  EXPECT_EQ(got.test_predicted, want.test_predicted) << label;
+}
+
+/// RF fits recorded by telemetry so far (0 with telemetry compiled out).
+uint64_t RfFits() {
+  const telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+  const auto it = snapshot.counters.find("ml.fit.count.RF");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+/// Streaming one vehicle day by day through a memo: hits (null model) and
+/// misses alike report exactly what a memo-less evaluation reports.
+/// Time-shift re-sampling ties the shift offsets to the series length, so
+/// the stream sees both.
+TEST(FitMemoTest, HoldoutHitsEqualFreshEvaluations) {
+  const data::DailySeries series = SimulatedVehicle(40);
+  for (const char* algorithm : {"LR", "RF"}) {
+    OldVehicleOptions options = FastOptions();
+    options.window = 3;
+    options.resampling_shifts = 1;
+    FitMemo memo;
+    OldVehicleOptions memo_options = options;
+    memo_options.fit_memo = &memo;
+    size_t hits = 0;
+    size_t misses = 0;
+    for (size_t n = 280; n < 320; ++n) {
+      const data::DailySeries u = series.Slice(0, n);
+      const std::string label =
+          std::string(algorithm) + " days=" + std::to_string(n);
+      const VehicleEvaluation fresh =
+          EvaluateAlgorithmOnVehicle(algorithm, u, 500'000.0, options)
+              .ValueOrDie();
+      const VehicleEvaluation memoized =
+          EvaluateAlgorithmOnVehicle(algorithm, u, 500'000.0, memo_options)
+              .ValueOrDie();
+      ExpectSameEvaluation(memoized, fresh, label);
+      ++(memoized.model == nullptr ? hits : misses);
+    }
+    EXPECT_GT(hits, 0u) << algorithm;
+    EXPECT_GT(misses, 0u) << algorithm;
+  }
+}
+
+/// With tune=true a hit skips the whole grid search (no RF fit at all) and
+/// returns the params it chose; a different grid seed is a different key
+/// even on identical training bytes.
+TEST(FitMemoTest, TunedHitSkipsGridSearch) {
+  OldVehicleOptions options = FastOptions();
+  options.tune = true;
+  options.grid_budget = 0;
+  FitMemo memo;
+  options.fit_memo = &memo;
+  const data::DailySeries u = SimulatedVehicle(20).Slice(0, 400);
+  const VehicleEvaluation first =
+      EvaluateAlgorithmOnVehicle("RF", u, 500'000.0, options).ValueOrDie();
+  ASSERT_NE(first.model, nullptr);
+  ASSERT_FALSE(first.best_params.empty());
+
+  telemetry::SetEnabled(true);
+  [[maybe_unused]] const uint64_t fits_before = RfFits();
+  const VehicleEvaluation second =
+      EvaluateAlgorithmOnVehicle("RF", u, 500'000.0, options).ValueOrDie();
+  [[maybe_unused]] const uint64_t fits_after = RfFits();
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(second.model, nullptr);
+  ExpectSameEvaluation(second, first, "tuned hit");
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_EQ(fits_after, fits_before);
+#endif
+
+  OldVehicleOptions reseeded = options;
+  reseeded.seed = options.seed + 1;
+  const VehicleEvaluation third =
+      EvaluateAlgorithmOnVehicle("RF", u, 500'000.0, reseeded).ValueOrDie();
+  EXPECT_NE(third.model, nullptr);
+  reseeded.fit_memo = nullptr;
+  ExpectSameEvaluation(
+      third,
+      EvaluateAlgorithmOnVehicle("RF", u, 500'000.0, reseeded).ValueOrDie(),
+      "reseeded");
+}
+
+/// The memo checks every test day's feature row, not just the day: a
+/// context series edited only past the training window leaves the training
+/// bytes (and so the key) unchanged but changes the test rows, which must
+/// refit rather than replay stale predictions.
+TEST(FitMemoTest, ChangedTestRowsMiss) {
+  const data::DailySeries u = SimulatedVehicle(50).Slice(0, 400);
+  const size_t split = static_cast<size_t>(0.7 * 400.0);
+  std::vector<double> context(u.size());
+  for (size_t t = 0; t < context.size(); ++t) {
+    context[t] = 0.5 + 0.4 * std::sin(static_cast<double>(t) / 9.0);
+  }
+  std::vector<double> edited = context;
+  for (size_t t = split + 2; t < edited.size(); ++t) edited[t] *= 0.5;
+
+  OldVehicleOptions options = FastOptions();
+  options.window = 2;
+  options.context_forecast_days = 2;
+  FitMemo memo;
+  for (const char* algorithm : {"LR", "RF"}) {
+    options.fit_memo = &memo;
+    options.context = &context;
+    ASSERT_NE(EvaluateAlgorithmOnVehicle(algorithm, u, 500'000.0, options)
+                  .ValueOrDie()
+                  .model,
+              nullptr);
+    options.context = &edited;
+    const VehicleEvaluation memoized =
+        EvaluateAlgorithmOnVehicle(algorithm, u, 500'000.0, options)
+            .ValueOrDie();
+    EXPECT_NE(memoized.model, nullptr) << algorithm;
+    options.fit_memo = nullptr;
+    ExpectSameEvaluation(
+        memoized,
+        EvaluateAlgorithmOnVehicle(algorithm, u, 500'000.0, options)
+            .ValueOrDie(),
+        algorithm);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoints.h"
+#include "common/telemetry.h"
 #include "core/scheduler.h"
 #include "telematics/fleet.h"
 
@@ -253,20 +254,96 @@ TEST(ServingEngineTest, BinnedInterleavingMatchesBatch) {
   }
 }
 
+/// Completed maintenance cycles in the first `days` days of `series`.
+size_t CyclesIn(const data::DailySeries& series, size_t days) {
+  return core::DeriveSeries(series.Slice(0, days), kTv)
+      .ValueOrDie()
+      .cycles.size();
+}
+
+/// True when growing `series` from n - 1 to n days closes a cycle in the
+/// deployment window (all n days) or in the 70 % holdout training window.
+/// Only such an append adds a labelled training row: the target is the
+/// number of days to the *next* maintenance.
+bool AppendAddsLabel(const data::DailySeries& series, size_t n) {
+  const auto split = [](size_t days) {
+    return static_cast<size_t>(0.7 * static_cast<double>(days));
+  };
+  return CyclesIn(series, n) != CyclesIn(series, n - 1) ||
+         CyclesIn(series, split(n)) != CyclesIn(series, split(n - 1));
+}
+
+/// First n >= `from` whose append adds (or, with `adds_label` false, does
+/// not add) a labelled training row; 0 when none exists.
+size_t FirstAppend(const data::DailySeries& series, size_t from,
+                   bool adds_label) {
+  for (size_t n = from; n <= series.size(); ++n) {
+    if (AppendAddsLabel(series, n) == adds_label) return n;
+  }
+  return 0;
+}
+
+/// Name of the model serving `id` in `snapshot` ("" when unforecast).
+std::string ModelNameOf(const FleetSnapshot& snapshot, const std::string& id) {
+  for (const core::MaintenanceForecast& forecast : snapshot.forecasts) {
+    if (forecast.vehicle_id == id) return forecast.model_name;
+  }
+  return "";
+}
+
+/// Current value of a telemetry counter (0 when never registered).
+uint64_t CounterValue(const std::string& name) {
+  const telemetry::MetricsSnapshot snapshot = telemetry::Snapshot();
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
 /// Bin mappers are built once per vehicle and cached; appending usage must
 /// invalidate exactly that vehicle's cache, and a series replacement must
-/// also drop the unified-corpus cache.
+/// also drop the unified-corpus cache. A mid-cycle append leaves both of
+/// v1's training sets unchanged, so its refresh reuses every fit and bins
+/// nothing; an append that labels a row refits and repopulates the cache.
 TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
+  telemetry::SetEnabled(true);
   ServingEngine engine(TreeOptions(1));
   const data::DailySeries s1 = SimulatedVehicle(201, 600);
   const data::DailySeries s2 = SimulatedVehicle(202, 600);
+  const size_t quiet = FirstAppend(s1, 560, /*adds_label=*/false);
+  ASSERT_GT(quiet, 0u);
+  const size_t labelling = FirstAppend(s1, quiet + 1, /*adds_label=*/true);
+  ASSERT_GT(labelling, 0u);
+  const auto append_through = [&](size_t days) {
+    const VehicleServeState state = engine.CachedState("v1").ValueOrDie();
+    for (size_t day = state.days_observed; day < days; ++day) {
+      ASSERT_TRUE(engine
+                      .Append("v1",
+                              s1.start_date().AddDays(
+                                  static_cast<int64_t>(day)),
+                              s1[day])
+                      .ok());
+    }
+  };
+  const auto expect_matches_batch = [&](size_t days, const char* label) {
+    core::FleetScheduler batch(TreeOptions(1));
+    ASSERT_TRUE(batch.RegisterVehicle("v1", s1.start_date()).ok());
+    ASSERT_TRUE(batch.RegisterVehicle("v2", s2.start_date()).ok());
+    ASSERT_TRUE(batch.IngestSeries("v1", s1.Slice(0, days)).ok());
+    ASSERT_TRUE(batch.IngestSeries("v2", s2).ok());
+    ASSERT_TRUE(batch.TrainAll().ok());
+    EXPECT_EQ(CheckpointBytes(engine.scheduler(), "cache_inc.txt"),
+              CheckpointBytes(batch, "cache_batch.txt"))
+        << label;
+  };
   ASSERT_TRUE(engine.Register("v1", s1.start_date()).ok());
   ASSERT_TRUE(engine.Register("v2", s2.start_date()).ok());
-  ASSERT_TRUE(engine.LoadHistory("v1", s1.Slice(0, 599)).ok());
+  ASSERT_TRUE(engine.LoadHistory("v1", s1.Slice(0, quiet - 1)).ok());
   ASSERT_TRUE(engine.LoadHistory("v2", s2).ok());
   // Before any training there is nothing cached.
   EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
   ASSERT_TRUE(engine.RefreshForecasts().ok());
+  // RF wins v1's selection, so the mid-cycle refresh below has a holdout
+  // and a deployment RF fit to reuse.
+  ASSERT_EQ(ModelNameOf(*engine.Snapshot(), "v1"), "RF");
 
   const auto v1_cache = engine.scheduler().VehicleBinningCache("v1");
   ASSERT_NE(v1_cache, nullptr);
@@ -279,14 +356,33 @@ TEST(ServingEngineTest, BinningCacheInvalidationFollowsIngest) {
   EXPECT_GT(unified->stats().lookups, 0u);
 
   // An append dirties exactly the appended vehicle's mapper cache.
-  ASSERT_TRUE(engine.Append("v1", s1.start_date().AddDays(599), s1[599]).ok());
+  append_through(quiet);
   EXPECT_EQ(engine.scheduler().VehicleBinningCache("v1"), nullptr);
   EXPECT_NE(engine.scheduler().VehicleBinningCache("v2"), nullptr);
-  // Retraining recreates and repopulates it.
+  // The mid-cycle refresh recreates the cache but fits (and so bins)
+  // nothing, and still trains exactly what a batch run trains.
+  [[maybe_unused]] const uint64_t rf_fits_before =
+      CounterValue("ml.fit.count.RF");
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  const auto quiet_cache = engine.scheduler().VehicleBinningCache("v1");
+  ASSERT_NE(quiet_cache, nullptr);
+  EXPECT_EQ(quiet_cache->stats().lookups, 0u);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_EQ(CounterValue("ml.fit.count.RF"), rf_fits_before);
+#endif
+  expect_matches_batch(quiet, "mid-cycle append");
+
+  // An append that labels a training row refits and repopulates it.
+  append_through(labelling);
   ASSERT_TRUE(engine.RefreshForecasts().ok());
   const auto rebuilt = engine.scheduler().VehicleBinningCache("v1");
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_GT(rebuilt->stats().entries, 0u);
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  EXPECT_GT(CounterValue("ml.fit.count.RF"), rf_fits_before);
+#endif
+  expect_matches_batch(labelling, "labelling append");
+  telemetry::SetEnabled(false);
 
   // Wholesale series replacement invalidates the corpus-level cache too:
   // the first cycle itself may have changed.
@@ -552,6 +648,183 @@ TEST(ServingEngineWarmStartTest, WarmFailureDegradesToColdRetrain) {
   EXPECT_EQ(stats.ValueOrDie().warm_started, 0u);
   ASSERT_EQ(engine.Snapshot()->forecasts.size(), 1u);
   EXPECT_EQ(engine.Snapshot()->forecasts[0].model_name, "RF");
+}
+
+/// Trains one vehicle on the first `days` days of `series` from scratch:
+/// the batch reference a fit-memo reuse must reproduce byte for byte.
+core::FleetScheduler FreshVehicle(const data::DailySeries& series,
+                                  size_t days,
+                                  const core::SchedulerOptions& options) {
+  core::FleetScheduler scheduler(options);
+  EXPECT_TRUE(scheduler.RegisterVehicle("v1", series.start_date()).ok());
+  EXPECT_TRUE(scheduler.IngestSeries("v1", series.Slice(0, days)).ok());
+  EXPECT_TRUE(scheduler.TrainAll().ok());
+  return scheduler;
+}
+
+/// One vehicle streamed day by day across at least one cycle close: after
+/// every refresh, reused and refitted models alike serialize to the bytes
+/// of a fresh batch TrainAll and forecast identically, at 1 and 4 threads.
+TEST(FitMemoTest, StreamedRefreshesMatchBatchAcrossACycleClose) {
+  const data::DailySeries full = SimulatedVehicle(301, 480);
+  // Stream 6 days either side of the first cycle close after day 400.
+  size_t close = 401;
+  while (close < full.size() &&
+         CyclesIn(full, close) == CyclesIn(full, close - 1)) {
+    ++close;
+  }
+  ASSERT_LT(close + 6, full.size());
+  const data::DailySeries series = full.Slice(0, close + 6);
+  const size_t start = close - 6;
+  for (const int threads : {1, 4}) {
+    telemetry::SetEnabled(true);
+    [[maybe_unused]] const uint64_t holdout_before =
+        CounterValue("scheduler.train.holdout_reused");
+    [[maybe_unused]] const uint64_t model_before =
+        CounterValue("scheduler.train.model_reused");
+    ServingEngine engine(TreeOptions(threads));
+    ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
+    ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, start)).ok());
+    ASSERT_TRUE(engine.RefreshForecasts().ok());
+    for (size_t day = start; day < series.size(); ++day) {
+      ASSERT_TRUE(engine
+                      .Append("v1",
+                              series.start_date().AddDays(
+                                  static_cast<int64_t>(day)),
+                              series[day])
+                      .ok());
+      ASSERT_TRUE(engine.RefreshForecasts().ok());
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " days=" + std::to_string(day + 1);
+      const core::FleetScheduler batch =
+          FreshVehicle(series, day + 1, TreeOptions(threads));
+      ExpectForecastsIdentical(engine.Snapshot()->forecasts,
+                               batch.FleetForecast().ValueOrDie(), label);
+      EXPECT_EQ(CheckpointBytes(engine.scheduler(), "memo_inc.txt"),
+                CheckpointBytes(batch, "memo_batch.txt"))
+          << label;
+    }
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+    // The stream exercised both halves of the memo.
+    EXPECT_GT(CounterValue("scheduler.train.holdout_reused"), holdout_before);
+    EXPECT_GT(CounterValue("scheduler.train.model_reused"), model_before);
+#endif
+    telemetry::SetEnabled(false);
+  }
+}
+
+/// Every writer of a vehicle's model other than the memoized fit itself
+/// (checkpoint loads, warm start, series replacement, the quarantine
+/// fallback) makes the next training refit the deployed model; an
+/// untouched vehicle retrained on unchanged data reuses both fits. The
+/// checkpoints hold a model trained on a shorter history, so keeping a
+/// loaded model instead of refitting would show in the bytes.
+TEST(FitMemoTest, OtherModelWritersForceADeploymentRefit) {
+  core::SchedulerOptions options = TreeOptions(1);
+  options.algorithms = {"RF"};
+  const data::DailySeries series = SimulatedVehicle(302, 300);
+  const std::string want =
+      CheckpointBytes(FreshVehicle(series, series.size(), options),
+                      "memo_want.txt");
+  const std::string legacy = ::testing::TempDir() + "/memo_legacy.txt";
+  const std::string segmented = ::testing::TempDir() + "/memo_segmented.ckpt";
+  std::remove(segmented.c_str());
+  {
+    const core::FleetScheduler older = FreshVehicle(series, 280, options);
+    ASSERT_EQ(older.Forecast("v1").ValueOrDie().model_name, "RF");
+    ASSERT_TRUE(older.SaveLegacyCheckpoint(legacy).ok());
+    ASSERT_TRUE(older.SaveCheckpoint(segmented).ok());
+    ASSERT_NE(CheckpointBytes(older, "memo_older.txt"), want);
+  }
+  core::FleetScheduler scheduler =
+      FreshVehicle(series, series.size(), options);
+
+  telemetry::SetEnabled(true);
+  // Retrains `scheduler` and returns the {holdout reuses, model reuses, RF
+  // fits} it took; the trained bytes must equal the fresh batch run's.
+  using Counts = std::vector<uint64_t>;
+  const auto retrain = [&](const std::string& label) {
+    const uint64_t holdout = CounterValue("scheduler.train.holdout_reused");
+    const uint64_t model = CounterValue("scheduler.train.model_reused");
+    const uint64_t fits = CounterValue("ml.fit.count.RF");
+    EXPECT_TRUE(scheduler.TrainAll().ok()) << label;
+    EXPECT_EQ(CheckpointBytes(scheduler, "memo_got.txt"), want) << label;
+    return Counts{CounterValue("scheduler.train.holdout_reused") - holdout,
+                  CounterValue("scheduler.train.model_reused") - model,
+                  CounterValue("ml.fit.count.RF") - fits};
+  };
+  std::map<std::string, Counts> counts;
+  counts["unchanged"] = retrain("unchanged");
+  ASSERT_TRUE(scheduler.LoadCheckpoint(legacy).ok());
+  counts["eager load"] = retrain("eager load");
+  ASSERT_TRUE(scheduler.LoadCheckpoint(segmented).ok());
+  ASSERT_TRUE(scheduler.Forecast("v1").ok());  // materializes the segment
+  counts["lazy load"] = retrain("lazy load");
+  ASSERT_TRUE(scheduler.WarmStartVehicle("v1", 3).ValueOrDie());
+  ASSERT_NE(CheckpointBytes(scheduler, "memo_warm.txt"), want);
+  counts["warm start"] = retrain("warm start");
+  ASSERT_TRUE(scheduler.IngestSeries("v1", series).ok());
+  counts["series replacement"] = retrain("series replacement");
+  if (failpoints::CompiledIn()) {
+    ASSERT_TRUE(failpoints::Arm("scheduler.train_vehicle").ok());
+    ASSERT_TRUE(scheduler.TrainAll().ok());
+    failpoints::DisarmAll();
+    ASSERT_EQ(scheduler.Forecast("v1").ValueOrDie().model_name,
+              "BL_fallback");
+    counts["quarantine fallback"] = retrain("quarantine fallback");
+  }
+  telemetry::SetEnabled(false);
+  std::remove(legacy.c_str());
+  std::remove(segmented.c_str());
+#ifndef NEXTMAINT_TELEMETRY_DISABLED
+  // The holdout half survives every writer but a series replacement; the
+  // deployment half survives none.
+  for (const auto& [label, got] : counts) {
+    const Counts expected = label == "unchanged" ? Counts{1, 1, 0}
+                            : label == "series replacement" ? Counts{0, 0, 2}
+                                                            : Counts{1, 0, 1};
+    EXPECT_EQ(got, expected) << label;
+  }
+#endif
+}
+
+/// A winner flip keeps the deployment training set but changes the
+/// algorithm fitted on it: the moved split changes the holdout scores while
+/// the appended day labels no row of the full history. Both flips (RF -> LR
+/// and back) must refit, never serve the other algorithm's memoized model.
+TEST(FitMemoTest, WinnerFlipRefitsTheDeployedModel) {
+  core::SchedulerOptions options = TreeOptions(1);
+  options.algorithms = {"LR", "RF"};
+  // Seed and window located by streaming: the winner flips RF -> LR -> RF
+  // on days 402 and 403, neither of which closes a cycle.
+  const data::DailySeries series = SimulatedVehicle(404, 405);
+  ServingEngine engine(options);
+  ASSERT_TRUE(engine.Register("v1", series.start_date()).ok());
+  ASSERT_TRUE(engine.LoadHistory("v1", series.Slice(0, 400)).ok());
+  ASSERT_TRUE(engine.RefreshForecasts().ok());
+  std::string previous = ModelNameOf(*engine.Snapshot(), "v1");
+  size_t flips_on_unchanged_data = 0;
+  for (size_t day = 400; day < series.size(); ++day) {
+    ASSERT_TRUE(engine
+                    .Append("v1",
+                            series.start_date().AddDays(
+                                static_cast<int64_t>(day)),
+                            series[day])
+                    .ok());
+    ASSERT_TRUE(engine.RefreshForecasts().ok());
+    const std::string label = "days=" + std::to_string(day + 1);
+    EXPECT_EQ(CheckpointBytes(engine.scheduler(), "flip_inc.txt"),
+              CheckpointBytes(FreshVehicle(series, day + 1, options),
+                              "flip_batch.txt"))
+        << label;
+    const std::string current = ModelNameOf(*engine.Snapshot(), "v1");
+    if (current != previous &&
+        CyclesIn(series, day + 1) == CyclesIn(series, day)) {
+      ++flips_on_unchanged_data;
+    }
+    previous = current;
+  }
+  EXPECT_GE(flips_on_unchanged_data, 2u);
 }
 
 }  // namespace
